@@ -100,7 +100,11 @@ int main(int argc, char** argv) {
     squares.push_back({n, n, n});
   }
   // MLP-shaped products: batch × features -> batch × neurons.
-  std::vector<Shape> mlp_shapes = {{32, 784, 128}, {32, 561, 64}, {32, 1776, 128}};
+  // The first three are wide-input layers (MNIST, HAR, Bioresponse widths);
+  // the last three are the products the co-design trainer runs on its
+  // default data: batch 32, 16 features, hidden widths up to 64, 3 classes.
+  std::vector<Shape> mlp_shapes = {{32, 784, 128}, {32, 561, 64}, {32, 1776, 128},
+                                   {32, 16, 64},   {32, 64, 64}, {32, 64, 3}};
 
   std::vector<Row> rows;
   util::ThreadPool pool2(2), pool4(4);

@@ -5,7 +5,8 @@
 // Surrogate sizing: feature and class dimensions match the real datasets
 // exactly; sample counts for the two image sets are scaled to 1/10 so the
 // full experiment suite runs on one machine (pass `sample_scale` > 1 to
-// enlarge).  See DESIGN.md §1 for the substitution rationale.
+// enlarge).  data/synthetic.h explains why surrogates stand in for the
+// real datasets and how they are generated.
 #pragma once
 
 #include <cstdint>

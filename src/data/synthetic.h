@@ -1,14 +1,15 @@
 // Synthetic classification dataset generator.
 //
-// Substitution (see DESIGN.md §1): the paper evaluates on MNIST,
-// Fashion-MNIST, and four OpenML datasets; this offline reproduction
-// generates shape-faithful surrogates.  Each class is a mixture of Gaussian
-// clusters in a low-dimensional latent space, projected into the observed
-// feature space by a fixed random linear map, with observation noise and a
-// label-noise rate that caps the achievable (Bayes-ish) accuracy near the
-// paper's reported ceiling for that dataset.  The result: accuracy responds
-// to network capacity the way a real tabular/vision dataset does —
-// underfitting hurts, capacity saturates, the ceiling is below 1.0.
+// Substitution: the paper evaluates on MNIST, Fashion-MNIST, and four
+// OpenML datasets; this reproduction builds and runs without network
+// access, so it generates shape-faithful surrogates instead.  Each class
+// is a mixture of Gaussian clusters in a low-dimensional latent space,
+// projected into the observed feature space by a fixed random linear map,
+// with observation noise and a label-noise rate that caps the achievable
+// (Bayes-ish) accuracy near the paper's reported ceiling for that
+// dataset.  The result: accuracy responds to network capacity the way a
+// real tabular/vision dataset does — underfitting hurts, capacity
+// saturates, the ceiling is below 1.0.
 #pragma once
 
 #include <cstdint>

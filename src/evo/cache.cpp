@@ -29,7 +29,7 @@ std::optional<EvalResult> EvalCache::lookup(const std::string& key) {
       ++misses_;
     } else {
       ++hits_;
-      found = it->second;
+      found = it->second.result;
     }
   }
   // Registry counters are bumped outside mutex_ so the registry mutex stays
@@ -42,18 +42,27 @@ void EvalCache::store(const std::string& key, const EvalResult& result) {
   bool raced = false;
   {
     util::MutexLock lock(mutex_);
-    raced = !entries_.insert_or_assign(key, result).second;
+    Entry& entry = entries_[key];
+    raced = entry.settled;
+    entry.result = result;
+    entry.settled = true;
   }
-  // A store that found the key already present means two producers raced to
-  // evaluate the same genome (e.g. overlapped generations breeding a
-  // duplicate before the first copy's result landed).  Harmless — results
-  // are deterministic per key — but each one is a wasted evaluation, so the
-  // counter makes the waste visible.  Bumped outside mutex_ (leaf-lock
-  // discipline, same as count_query).
+  // A store over a settled result means two producers raced to evaluate the
+  // same genome (e.g. overlapped generations breeding a duplicate before the
+  // first copy's result landed).  Harmless — results are deterministic per
+  // key — but each one is a wasted evaluation, so the counter makes the
+  // waste visible.  Settling a reserve()d key is the normal path and does
+  // not count.  Bumped outside mutex_ (leaf-lock discipline, same as
+  // count_query).
   if (raced) {
     static util::Counter& races = util::metrics().counter("evo.cache_races_total");
     races.add(1);
   }
+}
+
+void EvalCache::reserve(const std::string& key) {
+  util::MutexLock lock(mutex_);
+  entries_.try_emplace(key);
 }
 
 bool EvalCache::contains(const std::string& key) const {

@@ -21,8 +21,15 @@ class EvalCache {
   /// Returns the cached result (and counts a hit), or nullopt (a miss).
   std::optional<EvalResult> lookup(const std::string& key) ECAD_EXCLUDES(mutex_);
 
-  /// Insert/overwrite a result.
+  /// Insert/overwrite a result. Overwriting a settled result (one written by
+  /// an earlier store) counts in evo.cache_races_total; settling a
+  /// reservation does not.
   void store(const std::string& key, const EvalResult& result) ECAD_EXCLUDES(mutex_);
+
+  /// Claims `key` for an evaluation in flight: inserts a placeholder
+  /// EvalResult{} that a later store() settles. A key that is already
+  /// present is left as it is.
+  void reserve(const std::string& key) ECAD_EXCLUDES(mutex_);
 
   /// True if present, without counting a hit against this instance's
   /// hits()/misses() tallies (the process-wide evo.cache_* metrics do count
@@ -40,7 +47,11 @@ class EvalCache {
 
  private:
   mutable util::Mutex mutex_;
-  std::unordered_map<std::string, EvalResult> entries_ ECAD_GUARDED_BY(mutex_);
+  struct Entry {
+    EvalResult result;
+    bool settled = false;  // false while only reserve() has written it
+  };
+  std::unordered_map<std::string, Entry> entries_ ECAD_GUARDED_BY(mutex_);
   std::size_t hits_ ECAD_GUARDED_BY(mutex_) = 0;
   std::size_t misses_ ECAD_GUARDED_BY(mutex_) = 0;
 };

@@ -210,7 +210,7 @@ std::vector<Genome> EvolutionEngine::breed_offspring(const std::vector<Candidate
       continue;  // all attempts hit known genomes; skip this slot
     }
     // Reserve the key so no later batch (in flight or not) can contain twins.
-    cache_.store(child.key(), EvalResult{});
+    cache_.reserve(child.key());
     offspring.push_back(std::move(child));
   }
   if (offspring.empty()) {
@@ -220,7 +220,7 @@ std::vector<Genome> EvolutionEngine::breed_offspring(const std::vector<Candidate
     // (signalled by the empty vector).
     Genome immigrant = random_genome(space_, rng);
     if (cache_.contains(immigrant.key())) return offspring;
-    cache_.store(immigrant.key(), EvalResult{});
+    cache_.reserve(immigrant.key());
     offspring.push_back(std::move(immigrant));
   }
   return offspring;
@@ -331,7 +331,7 @@ EvolutionResult EvolutionEngine::resume(const EngineSnapshot& snapshot, util::Rn
     cache_.store(candidate.genome.key(), candidate.result);
   }
   for (const std::vector<Genome>& batch : snapshot.pending) {
-    for (const Genome& genome : batch) cache_.store(genome.key(), EvalResult{});
+    for (const Genome& genome : batch) cache_.reserve(genome.key());
   }
   cache_.restore_stats(static_cast<std::size_t>(snapshot.cache_hits),
                        static_cast<std::size_t>(snapshot.cache_misses));

@@ -112,7 +112,7 @@ Nsga2Result nsga2_search(const SearchSpace& space, const Nsga2Config& config,
     Genome genome = random_genome(space, rng);
     ++attempts;
     if (cache.contains(genome.key())) continue;
-    cache.store(genome.key(), EvalResult{});
+    cache.reserve(genome.key());
     seeds.push_back(std::move(genome));
   }
   std::vector<Candidate> population = evaluate_batch(std::move(seeds));
@@ -150,7 +150,7 @@ Nsga2Result nsga2_search(const SearchSpace& space, const Nsga2Config& config,
         ++out.stats.duplicates_skipped;
         continue;
       }
-      cache.store(child.key(), EvalResult{});
+      cache.reserve(child.key());
       offspring.push_back(std::move(child));
     }
     if (offspring.empty()) break;

@@ -63,7 +63,7 @@ EvolutionResult random_search(const SearchSpace& space, std::size_t max_evaluati
         ++out.stats.duplicates_skipped;
         continue;
       }
-      cache.store(genome.key(), EvalResult{});
+      cache.reserve(genome.key());
       batch.push_back(std::move(genome));
     }
     if (batch.empty()) break;  // space exhausted
@@ -100,7 +100,7 @@ EvolutionResult hill_climb(const SearchSpace& space, const HillClimbConfig& conf
 
   std::optional<Genome> seed = fresh_random();
   if (!seed) return out;
-  cache.store(seed->key(), EvalResult{});
+  cache.reserve(seed->key());
   Candidate incumbent = evaluate_one(*seed, evaluate, fitness);
   out.history.push_back(incumbent);
 
@@ -115,14 +115,14 @@ EvolutionResult hill_climb(const SearchSpace& space, const HillClimbConfig& conf
       Genome neighbour = mutate(incumbent.genome, space, rng, config.mutation_count);
       ++attempts;
       if (cache.contains(neighbour.key())) continue;
-      cache.store(neighbour.key(), EvalResult{});
+      cache.reserve(neighbour.key());
       neighbours.push_back(std::move(neighbour));
     }
     if (neighbours.empty()) {
       // Local neighbourhood exhausted: restart.
       std::optional<Genome> restart = fresh_random();
       if (!restart) break;
-      cache.store(restart->key(), EvalResult{});
+      cache.reserve(restart->key());
       incumbent = evaluate_one(*restart, evaluate, fitness);
       out.history.push_back(incumbent);
       stale = 0;
@@ -145,7 +145,7 @@ EvolutionResult hill_climb(const SearchSpace& space, const HillClimbConfig& conf
     stale = improved ? 0 : stale + 1;
     if (stale >= config.restart_patience && out.history.size() < config.max_evaluations) {
       if (std::optional<Genome> restart = fresh_random()) {
-        cache.store(restart->key(), EvalResult{});
+        cache.reserve(restart->key());
         incumbent = evaluate_one(*restart, evaluate, fitness);
         out.history.push_back(incumbent);
         stale = 0;

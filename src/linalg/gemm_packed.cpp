@@ -85,6 +85,37 @@ inline std::size_t round_up(std::size_t value, std::size_t multiple) {
   return (value + multiple - 1) / multiple * multiple;
 }
 
+// Writes one packed strip: row p (p < kc) takes `width` elements spaced
+// `across` apart from src + p·along, zero-padded to kStrip floats. Full
+// strips copy a fixed kStrip floats per row (one constant-size copy when
+// contiguous, an unrolled gather otherwise); only a ragged edge strip runs
+// the variable-width loop.
+template <std::size_t kStrip>
+void pack_strip(const float* src, std::size_t along, std::size_t across, std::size_t width,
+                std::size_t kc, float* out) {
+  if (width == kStrip && across == 1) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      std::memcpy(out + p * kStrip, src + p * along, kStrip * sizeof(float));
+    }
+  } else if (width == kStrip) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      const float* row = src + p * along;
+      float* dst = out + p * kStrip;
+#if defined(__GNUC__)
+#pragma GCC unroll 8
+#endif
+      for (std::size_t j = 0; j < kStrip; ++j) dst[j] = row[j * across];
+    }
+  } else {
+    for (std::size_t p = 0; p < kc; ++p) {
+      const float* row = src + p * along;
+      float* dst = out + p * kStrip;
+      for (std::size_t j = 0; j < width; ++j) dst[j] = row[j * across];
+      for (std::size_t j = width; j < kStrip; ++j) dst[j] = 0.0f;
+    }
+  }
+}
+
 // Packs column strips [j_begin, j_end) of rows [pc, pc+kc) of logical B into
 // the panel at `panel_out`: strip j0 holds columns [j0, j0+kNR) as kc
 // contiguous rows of kNR floats, zero-padded past b.cols, at panel offset
@@ -92,20 +123,9 @@ inline std::size_t round_up(std::size_t value, std::size_t multiple) {
 // the output, so distinct ranges of one panel can be packed concurrently.
 void pack_b_panel_strips(const MatView& b, std::size_t pc, std::size_t kc, std::size_t j_begin,
                          std::size_t j_end, float* panel_out) {
-  const std::size_t n = b.cols;
   for (std::size_t j0 = j_begin; j0 < j_end; j0 += kNR) {
-    const std::size_t jw = std::min(kNR, n - j0);
-    float* out = panel_out + (j0 / kNR) * kc * kNR;
-    for (std::size_t p = 0; p < kc; ++p) {
-      const float* src = b.data + (pc + p) * b.row_stride + j0 * b.col_stride;
-      float* dst = out + p * kNR;
-      if (b.col_stride == 1) {
-        std::memcpy(dst, src, jw * sizeof(float));
-      } else {
-        for (std::size_t j = 0; j < jw; ++j) dst[j] = src[j * b.col_stride];
-      }
-      for (std::size_t j = jw; j < kNR; ++j) dst[j] = 0.0f;
-    }
+    pack_strip<kNR>(b.data + pc * b.row_stride + j0 * b.col_stride, b.row_stride, b.col_stride,
+                    std::min(kNR, b.cols - j0), kc, panel_out + (j0 / kNR) * kc * kNR);
   }
 }
 
@@ -115,23 +135,17 @@ void pack_b_panel(const MatView& b, std::size_t pc, std::size_t kc, float* out) 
   pack_b_panel_strips(b, pc, kc, 0, b.cols, out);
 }
 
-// Packs rows [ic, ic+mc) × cols [pc, pc+kc) of logical A into kMR-row strips:
-// strip i0 holds rows [i0, i0+kMR) column-major within the strip (element
-// (ii, p) at p·kMR + ii), zero-padded past mc. Output occupies
-// round_up(mc, kMR) * kc floats.
+}  // namespace
+
 void pack_a_block(const MatView& a, std::size_t ic, std::size_t mc, std::size_t pc,
                   std::size_t kc, float* out) {
   for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
-    const std::size_t ih = std::min(kMR, mc - i0);
-    for (std::size_t p = 0; p < kc; ++p) {
-      const float* src = a.data + (ic + i0) * a.row_stride + (pc + p) * a.col_stride;
-      float* dst = out + p * kMR;
-      for (std::size_t ii = 0; ii < ih; ++ii) dst[ii] = src[ii * a.row_stride];
-      for (std::size_t ii = ih; ii < kMR; ++ii) dst[ii] = 0.0f;
-    }
-    out += kc * kMR;
+    pack_strip<kMR>(a.data + (ic + i0) * a.row_stride + pc * a.col_stride, a.col_stride,
+                    a.row_stride, std::min(kMR, mc - i0), kc, out + (i0 / kMR) * kc * kMR);
   }
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Microkernel + macrokernel

@@ -138,6 +138,14 @@ void gemm_packed_parallel(const MatView& a, const MatView& b, Matrix& c, util::T
 /// Serial driver over an already-packed B.
 void gemm_packed_prepacked(const MatView& a, const PackedB& b, Matrix& c, bool accumulate);
 
+/// Packs rows [ic, ic+mc) × cols [pc, pc+kc) of logical A into kMR-row
+/// strips: strip i0 holds rows [i0, i0+kMR) column-major within the strip
+/// (element (ii, p) at p·kMR + ii), zero-padded past mc. Output occupies
+/// round_up(mc, kMR) * kc floats. The drivers call it per A block; it is
+/// declared here so tests can check its layout.
+void pack_a_block(const MatView& a, std::size_t ic, std::size_t mc, std::size_t pc,
+                  std::size_t kc, float* out);
+
 }  // namespace detail
 
 /// C (m×n) = A (m×k) · B, with B supplied pre-packed. Dimension mismatches

@@ -25,9 +25,11 @@ Activation activation_from_name(std::string_view name);
 /// y = f(z), elementwise.  `y` may alias `z`.
 void apply_activation(Activation activation, const linalg::Matrix& z, linalg::Matrix& y);
 
-/// delta *= f'(z), elementwise, given the *pre-activation* z.
+/// delta *= f'(z), elementwise, given the pre-activation `z` and the
+/// activation `a` that apply_activation computed from it. Sigmoid and Tanh
+/// take the derivative from `a`; the other activations read `z`.
 void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
-                               linalg::Matrix& delta);
+                               const linalg::Matrix& a, linalg::Matrix& delta);
 
 /// Scalar forward, used by tests as the oracle.
 float activate_scalar(Activation activation, float z);

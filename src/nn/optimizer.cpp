@@ -52,15 +52,18 @@ class MomentumOptimizer final : public Optimizer {
 
   void step(std::size_t slot, ecad::span<float> params, ecad::span<const float> grads,
             bool decay) override {
-    auto& v = velocity_.at(slot);
-    if (v.size() != params.size()) v.assign(params.size(), 0.0f);
+    auto& velocity = velocity_.at(slot);
+    if (velocity.size() != params.size()) velocity.assign(params.size(), 0.0f);
     const float lr = static_cast<float>(options_.learning_rate);
     const float mu = static_cast<float>(options_.momentum);
     const float wd = decay ? static_cast<float>(options_.weight_decay) : 0.0f;
+    float* __restrict p = params.data();
+    const float* __restrict grad = grads.data();
+    float* __restrict v = velocity.data();
     for (std::size_t i = 0; i < params.size(); ++i) {
-      const float g = grads[i] + wd * params[i];
+      const float g = grad[i] + wd * p[i];
       v[i] = mu * v[i] - lr * g;
-      params[i] += v[i];
+      p[i] += v[i];
     }
   }
 
@@ -72,40 +75,60 @@ class MomentumOptimizer final : public Optimizer {
 class AdamOptimizer final : public Optimizer {
  public:
   AdamOptimizer(const OptimizerOptions& options, std::size_t num_slots)
-      : options_(options), m_(num_slots), v_(num_slots) {}
+      : options_(options), m_(num_slots), v_(num_slots) {
+    update_bias_correction();
+  }
 
   void step(std::size_t slot, ecad::span<float> params, ecad::span<const float> grads,
             bool decay) override {
-    auto& m = m_.at(slot);
-    auto& v = v_.at(slot);
-    if (m.size() != params.size()) {
-      m.assign(params.size(), 0.0f);
-      v.assign(params.size(), 0.0f);
+    auto& first = m_.at(slot);
+    auto& second = v_.at(slot);
+    if (first.size() != params.size()) {
+      first.assign(params.size(), 0.0f);
+      second.assign(params.size(), 0.0f);
     }
-    const double b1 = options_.beta1;
-    const double b2 = options_.beta2;
-    const double bias1 = 1.0 - std::pow(b1, static_cast<double>(t_));
-    const double bias2 = 1.0 - std::pow(b2, static_cast<double>(t_));
+    const float b1 = static_cast<float>(options_.beta1);
+    const float b2 = static_cast<float>(options_.beta2);
+    const float one_minus_b1 = static_cast<float>(1.0 - options_.beta1);
+    const float one_minus_b2 = static_cast<float>(1.0 - options_.beta2);
+    const float bias1 = bias1_;
+    const float bias2 = bias2_;
     const float lr = static_cast<float>(options_.learning_rate);
     const float eps = static_cast<float>(options_.epsilon);
     const float wd = decay ? static_cast<float>(options_.weight_decay) : 0.0f;
+    float* __restrict p = params.data();
+    const float* __restrict grad = grads.data();
+    float* __restrict m = first.data();
+    float* __restrict v = second.data();
     for (std::size_t i = 0; i < params.size(); ++i) {
-      const float g = grads[i] + wd * params[i];
-      m[i] = static_cast<float>(b1) * m[i] + static_cast<float>(1.0 - b1) * g;
-      v[i] = static_cast<float>(b2) * v[i] + static_cast<float>(1.0 - b2) * g * g;
-      const float m_hat = m[i] / static_cast<float>(bias1);
-      const float v_hat = v[i] / static_cast<float>(bias2);
-      params[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+      const float g = grad[i] + wd * p[i];
+      m[i] = b1 * m[i] + one_minus_b1 * g;
+      v[i] = b2 * v[i] + one_minus_b2 * g * g;
+      const float m_hat = m[i] / bias1;
+      const float v_hat = v[i] / bias2;
+      p[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
     }
   }
 
-  void advance() override { ++t_; }
+  void advance() override {
+    ++t_;
+    update_bias_correction();
+  }
 
  private:
+  // 1 - beta^t, once per minibatch rather than per slot.
+  void update_bias_correction() {
+    const double t = static_cast<double>(t_);
+    bias1_ = static_cast<float>(1.0 - std::pow(options_.beta1, t));
+    bias2_ = static_cast<float>(1.0 - std::pow(options_.beta2, t));
+  }
+
   OptimizerOptions options_;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
   std::size_t t_ = 1;
+  float bias1_ = 0.0f;
+  float bias2_ = 0.0f;
 };
 
 }  // namespace

@@ -64,6 +64,27 @@ TEST(EvalCache, DuplicateStoresCountAsRaces) {
   EXPECT_DOUBLE_EQ(races.value(), before + 2.0);
 }
 
+TEST(EvalCache, SettlingAReservationIsNotARace) {
+  // reserve() claims a key with a placeholder; the one store() that settles
+  // it is the normal path.  Only a second store over the settled result is
+  // a race.  A reservation never overwrites an existing entry.
+  util::Counter& races = util::metrics().counter("evo.cache_races_total");
+  const double before = races.value();
+  EvalCache cache;
+  cache.reserve("k");
+  EXPECT_TRUE(cache.contains("k"));
+  EvalResult settled;
+  settled.accuracy = 0.5;
+  cache.store("k", settled);
+  EXPECT_DOUBLE_EQ(races.value(), before);
+  cache.reserve("k");
+  EXPECT_DOUBLE_EQ(cache.lookup("k")->accuracy, 0.5);
+  EXPECT_DOUBLE_EQ(races.value(), before);
+  cache.store("k", settled);
+  EXPECT_DOUBLE_EQ(races.value(), before + 1.0);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(EvalCache, ConcurrentAccessIsSafe) {
   EvalCache cache;
   std::vector<std::thread> threads;

@@ -8,6 +8,8 @@
 #include <set>
 #include <thread>
 
+#include "util/metrics.h"
+
 namespace ecad::evo {
 namespace {
 
@@ -194,6 +196,23 @@ TEST(EngineOverlap, RespectsBudgetAndNeverEvaluatesDuplicates) {
   EXPECT_EQ(static_cast<std::size_t>(calls.load()), result.history.size());
   // Breeding actually ran ahead of settled batches.
   EXPECT_GT(result.stats.overlapped_batches, 0u);
+}
+
+TEST(Engine, RaceFreeSearchReportsNoCacheRaces) {
+  // The engine reserves every key before evaluating it and settles each
+  // reservation exactly once, so neither mode can race: settling a
+  // reservation must not count in evo.cache_races_total.
+  util::Counter& races = util::metrics().counter("evo.cache_races_total");
+  for (const EvolutionConfig& config : {small_config(), overlapped_config()}) {
+    const double before = races.value();
+    EvolutionEngine engine(SearchSpace{}, config, landscape, accuracy_fitness);
+    util::Rng rng(31);
+    util::ThreadPool pool(2);
+    const EvolutionResult result = engine.run(rng, pool);
+    EXPECT_GT(result.stats.models_evaluated, 0u);
+    EXPECT_DOUBLE_EQ(races.value(), before)
+        << "overlap=" << config.overlap_generations;
+  }
 }
 
 TEST(EngineOverlap, TrajectoryIsDeterministic) {

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/gemm.h"
@@ -207,6 +210,150 @@ TEST(GemmPacked, ParallelPackingHandlesTransposedViews) {
   ASSERT_EQ(parallel.cols(), n);
   const std::size_t padded_n = (n + detail::kNR - 1) / detail::kNR * detail::kNR;
   EXPECT_EQ(std::memcmp(parallel.panel(0), serial.panel(0), k * padded_n * sizeof(float)), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Packing layouts and exact products at the trainer's shapes
+// ---------------------------------------------------------------------------
+
+std::size_t round_up(std::size_t value, std::size_t multiple) {
+  return (value + multiple - 1) / multiple * multiple;
+}
+
+/// Generic strided B packer: every element through the view's strides, one
+/// at a time, zero past the last column. The full-strip fast paths of
+/// PackedB::pack must reproduce this layout byte for byte.
+std::vector<float> reference_pack_b(const detail::MatView& b) {
+  const std::size_t padded_n = round_up(b.cols, detail::kNR);
+  std::vector<float> out(b.rows * padded_n);
+  for (std::size_t pc = 0; pc < b.rows; pc += detail::kKC) {
+    const std::size_t kc = std::min(detail::kKC, b.rows - pc);
+    float* panel = out.data() + pc * padded_n;
+    for (std::size_t j0 = 0; j0 < b.cols; j0 += detail::kNR) {
+      for (std::size_t p = 0; p < kc; ++p) {
+        for (std::size_t j = 0; j < detail::kNR; ++j) {
+          panel[(j0 / detail::kNR) * kc * detail::kNR + p * detail::kNR + j] =
+              j0 + j < b.cols ? b.data[(pc + p) * b.row_stride + (j0 + j) * b.col_stride] : 0.0f;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Generic strided A packer with the layout pack_a_block documents.
+std::vector<float> reference_pack_a(const detail::MatView& a, std::size_t ic, std::size_t mc,
+                                    std::size_t pc, std::size_t kc) {
+  std::vector<float> out(round_up(mc, detail::kMR) * kc);
+  for (std::size_t i0 = 0; i0 < mc; i0 += detail::kMR) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      for (std::size_t ii = 0; ii < detail::kMR; ++ii) {
+        out[(i0 / detail::kMR) * kc * detail::kMR + p * detail::kMR + ii] =
+            i0 + ii < mc ? a.data[(ic + i0 + ii) * a.row_stride + (pc + p) * a.col_stride]
+                         : 0.0f;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GemmPackedLayout, PackedBMatchesGenericPacker) {
+  // n covers full strips only (8, 64), a ragged last strip (3, 13, 65) and
+  // k covers one and two KC panels; each in both orientations.
+  for (const std::size_t k : {1u, 16u, 64u, 300u}) {
+    for (const std::size_t n : {3u, 8u, 13u, 64u, 65u}) {
+      for (const bool transpose : {false, true}) {
+        const Matrix src = transpose ? random(n, k, k * 31 + n) : random(k, n, k * 37 + n);
+        const detail::MatView view =
+            transpose ? detail::MatView::transposed(src) : detail::MatView::normal(src);
+        PackedB packed;
+        packed.pack(src, transpose);
+        const std::vector<float> expected = reference_pack_b(view);
+        ASSERT_EQ(packed.rows(), k);
+        ASSERT_EQ(packed.cols(), n);
+        EXPECT_EQ(std::memcmp(packed.panel(0), expected.data(), expected.size() * sizeof(float)),
+                  0)
+            << "k=" << k << " n=" << n << " transpose=" << transpose;
+      }
+    }
+  }
+}
+
+TEST(GemmPackedLayout, PackABlockMatchesGenericPacker) {
+  // Full strips (mc a multiple of kMR) and ragged ones, at nonzero row and
+  // K offsets, for a normal view and the transposed one dW = aᵀ·δ packs.
+  const Matrix src = random(40, 300, 4711);
+  for (const bool transpose : {false, true}) {
+    const detail::MatView view =
+        transpose ? detail::MatView::transposed(src) : detail::MatView::normal(src);
+    for (const std::size_t ic : {0u, 3u, 8u}) {
+      for (const std::size_t mc : {1u, 5u, 8u, 13u, 16u, 32u}) {
+        for (const auto& [pc, kc] : {std::pair<std::size_t, std::size_t>{0, 1},
+                                     {0, 16},
+                                     {7, 33}}) {
+          if (ic + mc > view.rows || pc + kc > view.cols) continue;
+          const std::vector<float> expected = reference_pack_a(view, ic, mc, pc, kc);
+          std::vector<float> actual(expected.size(), std::nanf(""));
+          detail::pack_a_block(view, ic, mc, pc, kc, actual.data());
+          EXPECT_EQ(std::memcmp(actual.data(), expected.data(), expected.size() * sizeof(float)),
+                    0)
+              << "transpose=" << transpose << " ic=" << ic << " mc=" << mc << " pc=" << pc
+              << " kc=" << kc;
+        }
+      }
+    }
+  }
+}
+
+bool bit_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(GemmPackedLayout, TrainerShapesAreExactAcrossOperandOrientations) {
+  // The trainer's minibatch products: batch 32 × 16 features into hidden
+  // widths 4–64, and a 64-wide layer into a 3-class output. Each product
+  // is formed once through a strided (transposed) operand and once through
+  // an explicit transpose; the packed layouts are the same, so the results
+  // must be bit-identical.
+  KernelGuard guard(GemmKernel::Packed);
+  const std::vector<std::array<std::size_t, 3>> shapes = {
+      {32, 16, 4}, {32, 16, 8}, {32, 16, 16}, {32, 16, 32}, {32, 16, 64}, {32, 64, 3}};
+  for (const auto& [m, k, n] : shapes) {
+    const Matrix x = random(m, k, m * 7 + k * 11 + n);   // a_prev: batch × in
+    const Matrix w = random(k, n, m * 13 + k * 17 + n);  // W: in × out
+    const Matrix d = random(m, n, m * 19 + k * 23 + n);  // δ: batch × out
+    const std::string where = std::to_string(m) + "x" + std::to_string(k) + "x" +
+                              std::to_string(n);
+
+    // Forward: x·W, packed per call and prepacked.
+    Matrix y(m, n), y_pre(m, n), y_ref(m, n);
+    gemm_blocked(x, w, y);
+    PackedB packed_w;
+    packed_w.pack(w);
+    gemm_prepacked(x, packed_w, y_pre);
+    gemm_naive(x, w, y_ref);
+    EXPECT_TRUE(bit_equal(y, y_pre)) << where;
+    EXPECT_TRUE(y.approx_equal(y_ref, 1e-4f)) << where;
+
+    // dW = xᵀ·δ: transposed view of x vs an explicit transpose.
+    Matrix dw(k, n), dw_explicit(k, n);
+    gemm_at(x, d, dw);
+    gemm_blocked(x.transposed(), d, dw_explicit);
+    EXPECT_TRUE(bit_equal(dw, dw_explicit)) << where;
+
+    // δ·Wᵀ: transposed view of W, explicit transpose, and prepacked Wᵀ.
+    Matrix back(m, k), back_explicit(m, k), back_pre(m, k), back_ref(m, k);
+    gemm_bt(d, w, back);
+    gemm_blocked(d, w.transposed(), back_explicit);
+    PackedB packed_wt;
+    packed_wt.pack(w, /*transpose=*/true);
+    gemm_prepacked(d, packed_wt, back_pre);
+    gemm_naive(d, w.transposed(), back_ref);
+    EXPECT_TRUE(bit_equal(back, back_explicit)) << where;
+    EXPECT_TRUE(bit_equal(back, back_pre)) << where;
+    EXPECT_TRUE(back.approx_equal(back_ref, 1e-4f)) << where;
+  }
 }
 
 TEST(GemmKernelSelection, ParseRoundTrip) {

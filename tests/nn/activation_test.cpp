@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 namespace ecad::nn {
 namespace {
@@ -63,7 +67,9 @@ TEST_P(ActivationParamTest, GradientMatchesFiniteDifference) {
     z.data()[i] = v;
   }
   linalg::Matrix delta(1, 16, 1.0f);
-  apply_activation_gradient(activation, z, delta);
+  linalg::Matrix a;
+  apply_activation(activation, z, a);
+  apply_activation_gradient(activation, z, a, delta);
 
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < z.size(); ++i) {
@@ -71,6 +77,69 @@ TEST_P(ActivationParamTest, GradientMatchesFiniteDifference) {
                       activate_scalar(activation, z.data()[i] - eps)) /
                      (2.0f * eps);
     EXPECT_NEAR(delta.data()[i], fd, 5e-3f) << to_string(activation) << " at z=" << z.data()[i];
+  }
+}
+
+// Reference gradient: every activation's derivative recomputed from the
+// pre-activation z alone, one element at a time.
+void pre_based_gradient(Activation activation, const linalg::Matrix& z, linalg::Matrix& delta) {
+  const float* pre = z.raw();
+  float* d = delta.raw();
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    switch (activation) {
+      case Activation::ReLU:
+        if (pre[i] <= 0.0f) d[i] = 0.0f;
+        break;
+      case Activation::Sigmoid: {
+        const float s = 1.0f / (1.0f + std::exp(-pre[i]));
+        d[i] *= s * (1.0f - s);
+        break;
+      }
+      case Activation::Tanh: {
+        const float t = std::tanh(pre[i]);
+        d[i] *= 1.0f - t * t;
+        break;
+      }
+      case Activation::LeakyReLU:
+        if (pre[i] <= 0.0f) d[i] *= 0.01f;
+        break;
+      case Activation::Elu:
+        if (pre[i] <= 0.0f) d[i] *= std::exp(pre[i]);
+        break;
+      case Activation::Identity:
+        break;
+    }
+  }
+}
+
+std::uint32_t bits(float value) {
+  std::uint32_t out = 0;
+  std::memcpy(&out, &value, sizeof(out));
+  return out;
+}
+
+TEST_P(ActivationParamTest, GradientBitIdenticalToPreBasedReference) {
+  // Random z plus signed zeros, tiny values, and |z| > 20 where sigmoid and
+  // tanh saturate; 131 elements so vector loops also run a scalar tail.
+  const Activation activation = GetParam();
+  util::Rng rng(11);
+  std::vector<float> values = {0.0f,  -0.0f, 1e-8f, -1e-8f, 20.5f,  -20.5f,
+                               25.0f, -25.0f, 88.0f, -88.0f, 100.0f, -100.0f};
+  while (values.size() < 131) values.push_back(static_cast<float>(rng.next_double(-30.0, 30.0)));
+  linalg::Matrix z(1, values.size());
+  std::copy(values.begin(), values.end(), z.raw());
+  const linalg::Matrix delta0 = linalg::Matrix::random_uniform(1, values.size(), rng, -2.0f, 2.0f);
+
+  linalg::Matrix a;
+  apply_activation(activation, z, a);
+  linalg::Matrix actual = delta0;
+  apply_activation_gradient(activation, z, a, actual);
+  linalg::Matrix expected = delta0;
+  pre_based_gradient(activation, z, expected);
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    EXPECT_EQ(bits(actual.raw()[i]), bits(expected.raw()[i]))
+        << to_string(activation) << " at z=" << z.raw()[i] << ": " << actual.raw()[i]
+        << " vs " << expected.raw()[i];
   }
 }
 
