@@ -5,16 +5,16 @@ Cross-checks the invariants that keep the distributed evaluation service's
 wire protocol honest but that no single compiler ever sees end to end:
 
   1. Every ``MsgType`` in ``src/net/wire.h`` has a golden fixture under
-     ``tests/net/golden/`` captured at that message's *minimum* protocol
-     version (from ``frame_version_for`` in ``src/net/wire.cpp``) — so a new
-     message can't ship without pinning its bytes, and a version bump can't
-     silently orphan an old fixture.
+     ``tests/net/golden/`` captured at ``kProtocolVersion`` (the one version
+     every frame header carries), and no fixture exists at any other version
+     — so a new message can't ship without pinning its bytes, and a version
+     bump can't leave the previous generation's fixtures behind.
   2. Every ``write_X`` payload codec declared in ``wire.h`` has a matching
      ``read_X`` (and vice versa), and some test under ``tests/`` references
      both — a round-trip without a test is a round-trip on faith.
   3. ``kProtocolVersion`` agrees across ``src/net/wire.h``, ``README.md``,
      and ``scripts/loopback_smoke.sh`` — the three places a human reads the
-     current protocol generation.
+     current protocol version.
   4. ``kSnapshotFormatVersion`` (the persisted engine-snapshot format in
      ``src/util/snapshot_io.h``) agrees with ``README.md`` and
      ``scripts/chaos_smoke.sh``, and the committed golden snapshot fixture
@@ -41,7 +41,6 @@ import sys
 import tempfile
 
 WIRE_H = "src/net/wire.h"
-WIRE_CPP = "src/net/wire.cpp"
 GOLDEN_DIR = "tests/net/golden"
 TESTS_DIR = "tests"
 README = "README.md"
@@ -70,37 +69,6 @@ def parse_msg_types(wire_h_text):
     return types
 
 
-def parse_frame_versions(wire_cpp_text, type_names):
-    """-> {type name: minimum protocol version} from frame_version_for()."""
-    match = re.search(
-        r"frame_version_for\(MsgType\s+\w+\)\s*\{\s*switch\s*\([^)]*\)\s*\{(.*?)\n\}",
-        wire_cpp_text, re.DOTALL)
-    if not match:
-        raise ValueError(f"{WIRE_CPP}: could not find frame_version_for()")
-    body = match.group(1)
-    default = re.search(r"default:\s*return\s+(\d+)\s*;", body)
-    if not default:
-        raise ValueError(f"{WIRE_CPP}: frame_version_for() has no default case")
-    versions = {name: int(default.group(1)) for name in type_names}
-    # Walk the fall-through case groups: labels accumulate until a return.
-    pending = []
-    for line in body.splitlines():
-        case = re.search(r"case\s+MsgType::(\w+)\s*:", line)
-        if case:
-            pending.append(case.group(1))
-            continue
-        returned = re.search(r"return\s+(\d+)\s*;", line)
-        if returned and pending:
-            for name in pending:
-                if name not in versions:
-                    raise ValueError(
-                        f"{WIRE_CPP}: frame_version_for() names MsgType::{name} "
-                        f"which is not in the {WIRE_H} enum")
-                versions[name] = int(returned.group(1))
-            pending = []
-    return versions
-
-
 def parse_protocol_version(wire_h_text):
     match = re.search(r"kProtocolVersion\s*=\s*(\d+)\s*;", wire_h_text)
     if not match:
@@ -122,30 +90,34 @@ def parse_codec_pairs(wire_h_text):
     return writers, readers
 
 
-def fixture_tags(golden):
-    """-> {tag: set of versions} from ``{tag}[_variant]_v{N}.bin`` fixtures.
+def fixture_files(golden):
+    """-> sorted fixture file names under the golden directory."""
+    return sorted(p.name for p in golden.glob("*.bin"))
 
-    A file belongs to the *longest* known-looking tag prefix, so
-    ``hello_ack_v1.bin`` never satisfies the ``hello`` tag by accident:
-    callers pass the known tags and we match greedily against them.
-    """
-    files = sorted(p.name for p in golden.glob("*.bin"))
-    return files
+
+def fixture_version(name):
+    """-> N from ``..._v{N}.bin``, or None when the name carries no version."""
+    match = re.search(r"_v(\d+)\.bin$", name)
+    return int(match.group(1)) if match else None
 
 
 def assign_fixtures(files, tags):
-    """-> {tag: set of versions covered}, matching longest tag prefix first."""
+    """-> {tag: set of versions covered}, matching longest tag prefix first.
+
+    A file belongs to the *longest* matching tag, so ``hello_ack_v7.bin``
+    never satisfies the ``hello`` tag by accident, and a variant such as
+    ``search_done_err_v7.bin`` counts for ``search_done``.
+    """
     covered = {tag: set() for tag in tags}
     by_length = sorted(tags, key=len, reverse=True)
     for name in files:
-        stem = name[:-len(".bin")]
-        version_match = re.search(r"_v(\d+)$", stem)
-        if not version_match:
+        version = fixture_version(name)
+        if version is None:
             continue
-        body = stem[: version_match.start()]
+        body = name[: name.rindex("_v")]
         for tag in by_length:
             if body == tag or body.startswith(tag + "_"):
-                covered[tag].add(int(version_match.group(1)))
+                covered[tag].add(version)
                 break
     return covered
 
@@ -154,28 +126,26 @@ def lint(root):
     """-> list of violation strings (empty when the protocol is consistent)."""
     errors = []
     wire_h_text = (root / WIRE_H).read_text()
-    wire_cpp_text = (root / WIRE_CPP).read_text()
 
     types = parse_msg_types(wire_h_text)
-    versions = parse_frame_versions(wire_cpp_text, types)
     declared = parse_protocol_version(wire_h_text)
 
-    for name, version in versions.items():
-        if not 1 <= version <= declared:
-            errors.append(
-                f"{WIRE_CPP}: MsgType::{name} claims minimum version {version}, "
-                f"outside 1..kProtocolVersion ({declared})")
-
-    # --- invariant 1: golden fixture at each message's minimum version ----
+    # --- invariant 1: one fixture per message, all at kProtocolVersion ----
     golden = root / GOLDEN_DIR
+    files = fixture_files(golden)
     tags = {snake_case(name): name for name in types}
-    covered = assign_fixtures(fixture_tags(golden), set(tags))
+    covered = assign_fixtures(files, set(tags))
     for tag, name in sorted(tags.items()):
-        if versions[name] not in covered[tag]:
+        if declared not in covered[tag]:
             errors.append(
                 f"{GOLDEN_DIR}: MsgType::{name} has no golden fixture "
-                f"'{tag}*_v{versions[name]}.bin' for its minimum protocol "
-                f"version {versions[name]}")
+                f"'{tag}*_v{declared}.bin' at kProtocolVersion {declared}")
+    for name in files:
+        version = fixture_version(name)
+        if version != declared:
+            errors.append(
+                f"{GOLDEN_DIR}: stale fixture '{name}' is not at kProtocolVersion "
+                f"{declared} (one wire generation: delete or regenerate it)")
 
     # --- invariant 2: write/read pairing + a round-trip test --------------
     writers, readers = parse_codec_pairs(wire_h_text)
@@ -241,7 +211,7 @@ def lint(root):
 # --------------------------------------------------------------------------
 
 def _copy_repo_subset(root, dest):
-    for rel in (WIRE_H, WIRE_CPP, README, SMOKE_SCRIPT, SNAPSHOT_IO_H, CHAOS_SCRIPT):
+    for rel in (WIRE_H, README, SMOKE_SCRIPT, SNAPSHOT_IO_H, CHAOS_SCRIPT):
         target = dest / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(root / rel, target)
@@ -263,7 +233,7 @@ def _expect(failures, label, errors, needle):
 def self_test(root):
     failures = []
 
-    # Parser unit checks against the real wire.h/wire.cpp: these pin facts the
+    # Parser unit checks against the real wire.h: these pin facts the
     # golden fixtures also pin, so a parser regression can't hide behind a
     # conveniently-wrong parse.
     wire_h_text = (root / WIRE_H).read_text()
@@ -274,31 +244,18 @@ def self_test(root):
         failures.append(f"parser: expected >= 7 message types, got {len(types)}")
     if len(set(types.values())) != len(types):
         failures.append("parser: duplicate MsgType values")
-    versions = parse_frame_versions((root / WIRE_CPP).read_text(), types)
-    if versions.get("Ping") != 1:
-        failures.append(f"parser: Ping should be a v1 frame, got {versions.get('Ping')}")
-    if "EvalBatchRequest" in types and versions.get("EvalBatchRequest") != 2:
-        failures.append("parser: EvalBatchRequest should be a v2 frame "
-                        f"(got {versions.get('EvalBatchRequest')})")
-    for search_frame in ("SubmitSearch", "SearchAccepted", "SearchProgress",
-                         "SearchDone", "CancelSearch"):
-        if search_frame in types and versions.get(search_frame) != 4:
-            failures.append(f"parser: {search_frame} should be a v4 frame "
-                            f"(got {versions.get(search_frame)})")
-    for stats_frame in ("GetStats", "StatsReport"):
-        if stats_frame in types and versions.get(stats_frame) != 5:
-            failures.append(f"parser: {stats_frame} should be a v5 frame "
-                            f"(got {versions.get(stats_frame)})")
+    declared = parse_protocol_version(wire_h_text)
+    if declared != 7:
+        failures.append(f"parser: expected kProtocolVersion == 7, got {declared}")
+    for retired in (3, 4, 9):
+        if retired in types.values():
+            failures.append(f"parser: retired MsgType value {retired} is back in the enum")
     if types.get("CacheLookup") != 19:
         failures.append(f"parser: expected MsgType::CacheLookup == 19, "
                         f"got {types.get('CacheLookup')}")
     if types.get("CacheStore") != 20:
         failures.append(f"parser: expected MsgType::CacheStore == 20, "
                         f"got {types.get('CacheStore')}")
-    for cache_frame in ("CacheLookup", "CacheStore"):
-        if cache_frame in types and versions.get(cache_frame) != 6:
-            failures.append(f"parser: {cache_frame} should be a v6 frame "
-                            f"(got {versions.get(cache_frame)})")
     writers, readers = parse_codec_pairs(wire_h_text)
     if "genome" not in writers or "genome" not in readers:
         failures.append("parser: write_genome/read_genome not found in wire.h")
@@ -314,9 +271,9 @@ def self_test(root):
     if snapshot_version != 1:
         failures.append(
             f"parser: expected kSnapshotFormatVersion == 1, got {snapshot_version}")
-    # Longest-prefix fixture assignment: hello_ack_v1.bin must not feed 'hello'.
-    covered = assign_fixtures(["hello_ack_v1.bin"], {"hello", "hello_ack"})
-    if covered["hello"] or covered["hello_ack"] != {1}:
+    # Longest-prefix fixture assignment: hello_ack_v7.bin must not feed 'hello'.
+    covered = assign_fixtures(["hello_ack_v7.bin"], {"hello", "hello_ack"})
+    if covered["hello"] or covered["hello_ack"] != {7}:
         failures.append(f"parser: fixture prefix matching broken: {covered}")
 
     if lint(root):
@@ -332,29 +289,37 @@ def self_test(root):
             mutate(copy)
             _expect(failures, label, lint(copy), needle)
 
+        current = parse_protocol_version(wire_h_text)
+        golden_name = lambda tag: f"{tag}_v{current}.bin"
         sabotaged("missing fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "ping_v1.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / golden_name("ping")).unlink(),
                   "MsgType::Ping has no golden fixture")
         sabotaged("missing search fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "submit_search_v4.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / golden_name("submit_search")).unlink(),
                   "MsgType::SubmitSearch has no golden fixture")
         sabotaged("search done variants do not cover the base tag",
-                  lambda copy: [(copy / GOLDEN_DIR / "search_done_v4.bin").unlink(),
-                                (copy / GOLDEN_DIR / "search_done_err_v4.bin").unlink()],
+                  lambda copy: [(copy / GOLDEN_DIR / golden_name("search_done")).unlink(),
+                                (copy / GOLDEN_DIR / golden_name("search_done_err")).unlink()],
                   "MsgType::SearchDone has no golden fixture")
         sabotaged("missing stats fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "stats_report_v5.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / golden_name("stats_report")).unlink(),
                   "MsgType::StatsReport has no golden fixture")
         sabotaged("missing cache lookup fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "cache_lookup_v6.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / golden_name("cache_lookup")).unlink(),
                   "MsgType::CacheLookup has no golden fixture")
         sabotaged("missing cache store fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "cache_store_v6.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / golden_name("cache_store")).unlink(),
                   "MsgType::CacheStore has no golden fixture")
         sabotaged("fixture at wrong version",
-                  lambda copy: (copy / GOLDEN_DIR / "eval_batch_request_v2.bin")
-                  .rename(copy / GOLDEN_DIR / "eval_batch_request_v1.bin"),
+                  lambda copy: (copy / GOLDEN_DIR / golden_name("eval_batch_request"))
+                  .rename(copy / GOLDEN_DIR / f"eval_batch_request_v{current - 1}.bin"),
                   "MsgType::EvalBatchRequest has no golden fixture")
+        sabotaged("stale-version fixture",
+                  # A previous generation's fixture left next to the current
+                  # one: coverage still holds, but the stale file must trip.
+                  lambda copy: shutil.copyfile(copy / GOLDEN_DIR / golden_name("ping"),
+                                               copy / GOLDEN_DIR / f"ping_v{current - 1}.bin"),
+                  f"stale fixture 'ping_v{current - 1}.bin'")
         sabotaged("README version drift",
                   lambda copy: (copy / README).write_text(
                       re.sub(r"`kProtocolVersion\s*=\s*\d+`", "`kProtocolVersion = 99`",
@@ -389,9 +354,9 @@ def self_test(root):
                   # Bumping kProtocolVersion without touching README or the
                   # smoke script must trip *both* anchor checks at once.
                   lambda copy: (copy / WIRE_H).write_text(
-                      re.sub(r"kProtocolVersion\s*=\s*\d+\s*;", "kProtocolVersion = 7;",
+                      re.sub(r"kProtocolVersion\s*=\s*\d+\s*;", "kProtocolVersion = 8;",
                              (copy / WIRE_H).read_text())),
-                  f"but {WIRE_H} says 7")
+                  f"but {WIRE_H} says 8")
         sabotaged("untested search round-trip",
                   lambda copy: [p.write_text(
                       p.read_text().replace("read_cancel_search", "read_cancel_search0"))

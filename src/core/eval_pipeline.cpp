@@ -14,7 +14,7 @@ EvalPipeline::EvalPipeline(const Worker& worker, EvalPipelineOptions options)
 std::vector<evo::EvalOutcome> EvalPipeline::evaluate(const std::vector<evo::Genome>& genomes,
                                                      util::ThreadPool& pool) const {
   // Stage 1: dedup.  Slot index -> position in the unique chunk (first
-  // occurrence wins), exactly the evaluate_batch_deduped mapping.
+  // occurrence wins).
   std::vector<std::size_t> slot_to_unique(genomes.size());
   std::vector<evo::Genome> unique;
   unique.reserve(genomes.size());

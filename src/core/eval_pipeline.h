@@ -1,13 +1,13 @@
 // The one evaluation path every search dispatches through.
 //
-// Historically each caller composed its own stack out of Worker::evaluate,
-// Worker::evaluate_batch and evaluate_batch_deduped; adding the fleet-wide
-// result cache would have meant a fourth entry point and three more call
-// sites to keep in sync.  EvalPipeline collapses them into a single staged
-// pipeline:
+// Every caller — Master::search, the SearchScheduler, make_search_evaluator
+// — composes the same staged pipeline instead of its own stack out of
+// Worker::evaluate and Worker::evaluate_batch:
 //
 //   dedup        — genomes sharing a canonical key collapse to one slot
-//                  before anything downstream sees the chunk;
+//                  before anything downstream sees the chunk, and the one
+//                  outcome fans back to every slot (workers are
+//                  deterministic per genome, so the fan-out is exact);
 //   fleet cache  — slots whose (eval config, genome) result is already known
 //                  fleet-wide are settled without an evaluation;
 //   dispatch     — whatever is left goes to Worker::evaluate_batch (the
@@ -15,10 +15,8 @@
 //                  fresh successes are published back to the fleet cache.
 //
 // When both upstream stages are inert (no duplicates, no cache) the pipeline
-// is Worker::evaluate_batch called verbatim — bit-identical to the legacy
-// path, which is what lets Master::search, the SearchScheduler and
-// make_search_evaluator all migrate onto it without changing a single
-// search's output.
+// is Worker::evaluate_batch called verbatim, so routing a search through it
+// never changes that search's output.
 #pragma once
 
 #include <vector>

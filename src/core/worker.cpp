@@ -2,7 +2,6 @@
 
 #include <functional>
 
-#include "core/eval_pipeline.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
 
@@ -40,14 +39,6 @@ std::vector<evo::EvalOutcome> Worker::evaluate_batch(const std::vector<evo::Geno
   pool.parallel_for(genomes.size(),
                     [&](std::size_t i) { outcomes[i] = evaluate_outcome(*this, genomes[i]); });
   return outcomes;
-}
-
-std::vector<evo::EvalOutcome> evaluate_batch_deduped(const Worker& worker,
-                                                     const std::vector<evo::Genome>& genomes,
-                                                     util::ThreadPool& pool) {
-  EvalPipelineOptions options;
-  options.fleet_cache = false;
-  return EvalPipeline(worker, options).evaluate(genomes, pool);
 }
 
 namespace {

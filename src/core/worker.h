@@ -46,7 +46,7 @@ class Worker {
   /// Fleet-wide content-addressed result cache for this worker's
   /// evaluations, or nullptr (the default) when none is available.
   /// EvalPipeline consults it between dedup and dispatch; net::RemoteWorker
-  /// overrides this to expose the wire-protocol v6 cache tier.  The returned
+  /// overrides this to expose the daemons' cache tier.  The returned
   /// pointer is borrowed and must stay valid for the worker's lifetime.
   virtual const FleetEvalCache* fleet_cache() const { return nullptr; }
 };
@@ -56,20 +56,6 @@ class Worker {
 /// failure.  Shared by the default batch fan-out and the WorkerServer's
 /// batch executor so the two layers' slot semantics cannot diverge.
 evo::EvalOutcome evaluate_outcome(const Worker& worker, const evo::Genome& genome);
-
-/// Batch dispatch with intra-batch dedup: genomes sharing a canonical key
-/// are collapsed to one evaluation before the worker (possibly a remote
-/// fleet) sees the chunk, and the single outcome is fanned back to every
-/// slot that asked for it.  Workers are deterministic per genome, so the
-/// fan-out is exact — duplicate slots hold bit-identical results.
-///
-/// Compatibility shim: this is EvalPipeline (core/eval_pipeline.h) with the
-/// fleet-cache stage disabled, kept for callers that want dedup semantics
-/// without wiring up pipeline options.  New code should compose an
-/// EvalPipeline directly.
-std::vector<evo::EvalOutcome> evaluate_batch_deduped(const Worker& worker,
-                                                     const std::vector<evo::Genome>& genomes,
-                                                     util::ThreadPool& pool);
 
 /// Accuracy-only worker: trains the candidate MLP on the split and measures
 /// test accuracy.  Used directly for Table I/II accuracy searches.

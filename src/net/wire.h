@@ -4,7 +4,7 @@
 // Framing: every message is a length-prefixed binary frame
 //
 //     u32  magic    0x45434144 ("ECAD", little-endian on the wire)
-//     u16  version  lowest protocol version that understands this message
+//     u16  version  kProtocolVersion, in every frame
 //     u16  type     MsgType
 //     u32  length   payload byte count (<= kMaxPayloadBytes)
 //     u8[] payload  type-specific body
@@ -14,41 +14,32 @@
 // signed zeros — round-trips bit-for-bit.  Decoding is fully bounds-checked:
 // truncated or oversized input throws WireError, never reads past the end.
 //
-// Versioning (v2): the header's version field carries the lowest protocol
-// version able to parse that message — v1 messages keep a version-1 header
-// forever, so a v1-only peer interoperates untouched, while the v2 batch
-// messages are framed version 2 and bounce off old peers as a header error.
-// Peers negotiate the connection version in the handshake: Hello/HelloAck
-// payloads optionally carry a trailing u16 with the sender's maximum
-// supported version (absent = 1), and both sides speak min(theirs, ours).
-// Batch frames are only legal on connections negotiated to >= 2.
+// One generation: a peer speaks exactly kProtocolVersion.  A frame whose
+// header carries any other version throws ProtocolMismatch (naming both
+// versions), and the receiver drops the connection — there is no
+// negotiation and no downgrade.  Hello/HelloAck carry only a display name.
 //
-// Streaming (v3): on a connection negotiated to >= 3, a worker answers
-// EvalBatchRequest not with one EvalBatchResponse but with one EvalItemResult
-// frame per item *as each item completes* (in completion order, not request
-// order) followed by a terminal EvalBatchDone frame.  One slow genome no
-// longer holds back its shard-mates' results.  v2 connections keep the
-// single-response shape byte-for-byte, so a --max-protocol 2 pin restores
-// the old wire behavior exactly.
+// Evaluation: a master ships a shard of genomes as one EvalBatchRequest; the
+// worker answers with one EvalItemResult frame per item *as each item
+// completes* (completion order, not request order) followed by a terminal
+// EvalBatchDone, so one slow genome never holds back its shard-mates.
 //
-// Search service (v4): thin clients submit whole searches to a resident
-// master daemon.  SubmitSearch carries a serialized core::SearchRequest; the
-// daemon answers SearchAccepted, then streams one SearchProgress frame per
-// folded generation (in completion order across concurrent searches) and
-// closes with SearchDone carrying either the full deterministic search
-// record (every evaluated candidate plus the winner — the same data the
-// standalone CLI prints) or an error/cancellation message.  CancelSearch
-// stops a running search at its next generation boundary.
+// Search service: thin clients submit whole searches to a resident master
+// daemon.  SubmitSearch carries a serialized core::SearchRequest; the daemon
+// answers SearchAccepted, then streams one SearchProgress frame per folded
+// generation (in completion order across concurrent searches) and closes
+// with SearchDone carrying either the full deterministic search record
+// (every evaluated candidate plus the winner — the same data the standalone
+// CLI prints) or an error/cancellation message.  CancelSearch stops a
+// running search at its next generation boundary.
 //
-// Stats (v5): any peer can ask a daemon for its process-wide metrics
-// registry (util/metrics.h).  GetStats carries a metric-name prefix filter
-// ("" = everything); the daemon answers one StatsReport frame with a
-// snapshot of every matching counter, gauge, and histogram (log-bucket
-// counts included, so p50/p90/p99 are derivable client-side).  Stats frames
-// are only legal on connections negotiated to >= 5; v4 and older peers are
-// untouched.
+// Stats: any peer can ask a daemon for its process-wide metrics registry
+// (util/metrics.h).  GetStats carries a metric-name prefix filter ("" =
+// everything); the daemon answers one StatsReport frame with a snapshot of
+// every matching counter, gauge, and histogram (log-bucket counts included,
+// so p50/p90/p99 are derivable client-side).
 //
-// Fleet cache (v6): a content-addressed result cache tier hosted by worker
+// Fleet cache: a content-addressed result cache tier hosted by worker
 // daemons (net/fleet_cache.h).  Entries are (u64 key, EvalResult) bindings
 // where the key is a stable FNV-1a hash of the eval-config identity plus the
 // canonical genome key — computed identically by every master sharing the
@@ -56,8 +47,7 @@
 // carries a batch of keys; the daemon answers with a CacheStore frame
 // holding the bindings it has (misses are simply absent).  CacheStore in the
 // client->server direction publishes freshly computed results and needs no
-// acknowledgement.  Cache frames are only legal on connections negotiated to
-// >= 6; v5 and older peers are untouched.
+// acknowledgement.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +59,7 @@
 #include "evo/engine.h"
 #include "evo/fitness.h"
 #include "evo/genome.h"
+#include "net/socket.h"
 
 namespace ecad::net {
 
@@ -78,13 +69,18 @@ class WireError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A frame header carrying a protocol version other than kProtocolVersion:
+/// the peer belongs to another generation and the connection is refused.
+class ProtocolMismatch : public WireError {
+ public:
+  explicit ProtocolMismatch(std::uint16_t peer_version);
+};
+
 /// Encoded little-endian like every other integer, so the first four bytes
 /// of a frame on the wire literally read "ECAD" (0x45 'E' is the low byte).
 inline constexpr std::uint32_t kWireMagic = 0x44414345u;
-/// Highest protocol version this build speaks. Peers negotiate down to the
-/// smaller of the two maxima; version 1 peers keep working unmodified.
-inline constexpr std::uint16_t kProtocolVersion = 6;
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
+/// The one protocol version this build speaks, carried in every frame header.
+inline constexpr std::uint16_t kProtocolVersion = 7;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Genomes and results are tiny; anything near this limit is corruption.
 inline constexpr std::uint32_t kMaxPayloadBytes = 16u << 20;
@@ -108,35 +104,29 @@ inline constexpr std::uint32_t kMaxHistogramBuckets = 64;
 /// kMaxBatchItems and anything near it is corruption.
 inline constexpr std::uint32_t kMaxCacheEntries = 4096;
 
+/// Values 3, 4 and 9 belonged to retired per-genome and single-response
+/// frames; they are never reused and decode as unknown types.
 enum class MsgType : std::uint16_t {
-  Hello = 1,             // client -> server: string client name [+ u16 max version]
-  HelloAck = 2,          // server -> client: string worker name [+ u16 negotiated version]
-  EvalRequest = 3,       // u64 request id + Genome
-  EvalResponse = 4,      // u64 request id + u8 ok + (EvalResult | string error)
+  Hello = 1,             // client -> server: string client name
+  HelloAck = 2,          // server -> client: string worker name
   Ping = 5,              // empty
   Pong = 6,              // empty
   Shutdown = 7,          // client asks the daemon to exit its accept loop
-  EvalBatchRequest = 8,  // v2: u64 batch id + u32 count + count Genomes
-  EvalBatchResponse = 9, // v2: u64 batch id + u32 count + count outcome slots
-  EvalItemResult = 10,   // v3: u64 batch id + u32 slot index + one outcome slot
-  EvalBatchDone = 11,    // v3: u64 batch id + u32 count of item frames sent
-  SubmitSearch = 12,     // v4: u64 submit id + SearchRequest
-  SearchAccepted = 13,   // v4: u64 submit id + u64 search id + u32 queue position
-  SearchProgress = 14,   // v4: u64 search id + per-generation stats
-  SearchDone = 15,       // v4: u64 search id + u8 status + (record | string)
-  CancelSearch = 16,     // v4: u64 search id
-  GetStats = 17,         // v5: string metric-name prefix filter ("" = all)
-  StatsReport = 18,      // v5: u32 count + count metric snapshot entries
-  CacheLookup = 19,      // v6: u32 count + count u64 cache keys
-  CacheStore = 20,       // v6: u32 count + count (u64 key + EvalResult)
+  EvalBatchRequest = 8,  // u64 batch id + u32 count + count Genomes
+  EvalItemResult = 10,   // u64 batch id + u32 slot index + one outcome slot
+  EvalBatchDone = 11,    // u64 batch id + u32 count of item frames sent
+  SubmitSearch = 12,     // u64 submit id + SearchRequest
+  SearchAccepted = 13,   // u64 submit id + u64 search id + u32 queue position
+  SearchProgress = 14,   // u64 search id + per-generation stats
+  SearchDone = 15,       // u64 search id + u8 status + (record | string)
+  CancelSearch = 16,     // u64 search id
+  GetStats = 17,         // string metric-name prefix filter ("" = all)
+  StatsReport = 18,      // u32 count + count metric snapshot entries
+  CacheLookup = 19,      // u32 count + count u64 cache keys
+  CacheStore = 20,       // u32 count + count (u64 key + EvalResult)
 };
 
 const char* to_string(MsgType type);
-
-/// Lowest protocol version that understands `type` — and the version its
-/// frame header carries, so old peers reject only the messages they cannot
-/// parse instead of the whole stream.
-std::uint16_t frame_version_for(MsgType type);
 
 // ---------------------------------------------------------------------------
 // Primitive encode/decode
@@ -206,34 +196,21 @@ void write_search_request(WireWriter& writer, const core::SearchRequest& request
 core::SearchRequest read_search_request(WireReader& reader);
 
 // ---------------------------------------------------------------------------
-// Batched evaluation (protocol v2)
+// Streaming evaluation
 // ---------------------------------------------------------------------------
 
-/// One EvalBatchRequest frame: N genomes evaluated per network round-trip.
+/// One EvalBatchRequest frame: a shard of N genomes per network round-trip.
 struct EvalBatchRequest {
   std::uint64_t batch_id = 0;
   std::vector<evo::Genome> genomes;
 };
 
-/// One EvalBatchResponse frame: outcome slots in request order.  Per-item
-/// error slots mean one poisoned genome fails its own slot, not the batch.
-struct EvalBatchResponse {
-  std::uint64_t batch_id = 0;
-  std::vector<evo::EvalOutcome> items;
-};
-
 void write_eval_batch_request(WireWriter& writer, const EvalBatchRequest& request);
 EvalBatchRequest read_eval_batch_request(WireReader& reader);
 
-void write_eval_batch_response(WireWriter& writer, const EvalBatchResponse& response);
-EvalBatchResponse read_eval_batch_response(WireReader& reader);
-
-// ---------------------------------------------------------------------------
-// Streaming evaluation (protocol v3)
-// ---------------------------------------------------------------------------
-
 /// One EvalItemResult frame: a single slot of an in-flight batch, streamed
-/// the moment its evaluation completes.  `index` is the slot position in the
+/// the moment its evaluation completes.  Per-item error slots mean one
+/// poisoned genome fails its own slot, not the shard.  `index` is the slot position in the
 /// originating EvalBatchRequest; frames arrive in completion order, so a
 /// receiver must settle slots by index, never by arrival position.
 struct EvalItemResult {
@@ -257,7 +234,7 @@ void write_eval_batch_done(WireWriter& writer, const EvalBatchDone& done);
 EvalBatchDone read_eval_batch_done(WireReader& reader);
 
 // ---------------------------------------------------------------------------
-// Search service (protocol v4)
+// Search service
 // ---------------------------------------------------------------------------
 
 /// One SubmitSearch frame: a thin client asks the resident master daemon to
@@ -339,7 +316,7 @@ void write_cancel_search(WireWriter& writer, const CancelSearch& cancel);
 CancelSearch read_cancel_search(WireReader& reader);
 
 // ---------------------------------------------------------------------------
-// Stats (protocol v5)
+// Stats
 // ---------------------------------------------------------------------------
 
 /// One GetStats frame: ask a daemon for its metrics registry.  `prefix`
@@ -373,7 +350,7 @@ void write_stats_report(WireWriter& writer, const StatsReport& report);
 StatsReport read_stats_report(WireReader& reader);
 
 // ---------------------------------------------------------------------------
-// Fleet cache (protocol v6)
+// Fleet cache
 // ---------------------------------------------------------------------------
 
 /// One CacheLookup frame: a master asks a daemon which of these
@@ -406,22 +383,13 @@ void write_cache_store(WireWriter& writer, const CacheStore& store);
 CacheStore read_cache_store(WireReader& reader);
 
 // ---------------------------------------------------------------------------
-// Handshake payloads
+// Handshake payload
 // ---------------------------------------------------------------------------
 
-/// Hello / HelloAck body: a display name plus the sender's maximum protocol
-/// version.  v1 peers send just the name; the reader treats a missing
-/// trailer as version 1, so both generations parse both encodings.
-struct HelloPayload {
-  std::string name;
-  std::uint16_t max_version = 1;
-};
-
-/// Omits the version trailer when `max_version == 1`, producing the exact
-/// v1 encoding (a v1 peer calls expect_end() after the name and would drop
-/// the connection over trailing bytes).
-void write_hello_payload(WireWriter& writer, const std::string& name, std::uint16_t max_version);
-HelloPayload read_hello_payload(WireReader& reader);
+/// Hello / HelloAck body: the sender's display name, nothing else (the frame
+/// header carries the version).  Trailing bytes are a WireError.
+void write_hello(WireWriter& writer, const std::string& name);
+std::string read_hello(WireReader& reader);
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -432,24 +400,40 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Header + payload as one contiguous buffer ready for send().  The header
-/// version is frame_version_for(type) — v1 messages stay byte-identical to
-/// the v1 encoder (the golden-fixture test pins this).
+/// Header (stamped with kProtocolVersion) + payload as one contiguous buffer
+/// ready for send().
 std::vector<std::uint8_t> encode_frame(MsgType type, const std::vector<std::uint8_t>& payload);
 
 struct FrameHeader {
   MsgType type = MsgType::Ping;
-  std::uint16_t version = kMinProtocolVersion;
   std::uint32_t payload_size = 0;
 };
 
-/// Validates magic, version (kMinProtocolVersion..kProtocolVersion), known
-/// type, and the payload size cap.
+/// Validates magic, version (exactly kProtocolVersion, else
+/// ProtocolMismatch), known type, and the payload size cap.
 /// `header` must point at kFrameHeaderBytes readable bytes.
 FrameHeader decode_frame_header(const std::uint8_t* header);
 
 /// Incremental frame assembly for the poll loop: when `buffer` holds at least
 /// one complete frame, pops it off the front and returns true.
 bool try_extract_frame(std::vector<std::uint8_t>& buffer, Frame& out);
+
+// ---------------------------------------------------------------------------
+// Blocking frame I/O (clients: RemoteWorker, SearchClient, fetch_stats)
+// ---------------------------------------------------------------------------
+
+/// Encode and write one whole frame.  Throws NetError.
+void send_frame(Socket& socket, MsgType type, const std::vector<std::uint8_t>& payload);
+
+/// Read one whole frame; `timeout_ms` bounds the header and the payload read
+/// separately (negative = block forever).  Throws NetError, WireError
+/// (ProtocolMismatch for a peer of another generation).
+Frame recv_frame(Socket& socket, int timeout_ms);
+
+/// Client half of the handshake: send Hello(`name`), expect HelloAck.
+/// Returns the peer's display name.  Throws NetError on connection failure
+/// or a non-HelloAck answer, ProtocolMismatch when the peer speaks another
+/// protocol version.
+std::string client_handshake(Socket& socket, const std::string& name, int timeout_ms);
 
 }  // namespace ecad::net

@@ -1,8 +1,8 @@
-// core::EvalPipeline: the staged dedup -> fleet cache -> dispatch path that
-// replaced the evaluate_batch / evaluate_batch_deduped call-site zoo.  The
-// contract under test: stage-inert chunks are bit-identical to the legacy
-// dispatch, duplicate slots share one evaluation, cache hits skip dispatch
-// entirely, and only freshly dispatched successes are published back.
+// core::EvalPipeline: the staged dedup -> fleet cache -> dispatch path every
+// search evaluates through.  The contract under test: stage-inert chunks are
+// bit-identical to Worker::evaluate_batch, duplicate slots share one
+// evaluation, cache hits skip dispatch entirely, and only freshly dispatched
+// successes are published back.
 #include "core/eval_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -111,14 +111,17 @@ TEST(EvalPipeline, FastPathMatchesWorkerBatchDispatch) {
 }
 
 TEST(EvalPipeline, DuplicateSlotsShareOneBitIdenticalEvaluation) {
+  util::Counter& collapsed = util::metrics().counter("core.dedup_collapsed_total");
   StubWorker worker;
   util::ThreadPool pool(2);
   const evo::Genome a = genome_with(16);
   const evo::Genome b = genome_with(32);
   const std::vector<evo::Genome> genomes = {a, b, a, a, b};
+  const double before = collapsed.value();
   const std::vector<evo::EvalOutcome> outcomes = EvalPipeline(worker).evaluate(genomes, pool);
   ASSERT_EQ(outcomes.size(), 5u);
   EXPECT_EQ(worker.evaluations.load(), 2);  // a and b, once each
+  EXPECT_DOUBLE_EQ(collapsed.value(), before + 3.0);  // one count per collapsed slot
   // Duplicate slots are fanned out from ONE evaluation, so even the
   // wall-clock eval_seconds bits agree — the strongest identity available.
   for (const std::size_t slot : {2u, 3u}) {
@@ -127,30 +130,10 @@ TEST(EvalPipeline, DuplicateSlotsShareOneBitIdenticalEvaluation) {
               bits_of(outcomes[0].result.eval_seconds));
   }
   EXPECT_EQ(bits_of(outcomes[4].result.eval_seconds), bits_of(outcomes[1].result.eval_seconds));
-}
-
-TEST(EvalPipeline, LegacyDedupShimDelegatesToThePipeline) {
-  // evaluate_batch_deduped is the pipeline with the cache stage off; same
-  // collapse count, same per-slot results, same dedup-counter accounting.
-  util::Counter& collapsed = util::metrics().counter("core.dedup_collapsed_total");
-  StubWorker worker;
-  util::ThreadPool pool(2);
-  const evo::Genome a = genome_with(16);
-  const std::vector<evo::Genome> genomes = {a, a, a};
-
-  const double before = collapsed.value();
-  const std::vector<evo::EvalOutcome> outcomes = evaluate_batch_deduped(worker, genomes, pool);
-  EXPECT_DOUBLE_EQ(collapsed.value(), before + 2.0);
-  EXPECT_EQ(worker.evaluations.load(), 1);
-  ASSERT_EQ(outcomes.size(), 3u);
-  for (const evo::EvalOutcome& outcome : outcomes) {
-    ASSERT_TRUE(outcome.ok);
-    EXPECT_DOUBLE_EQ(outcome.result.accuracy, 0.16);
-  }
 
   // A duplicate-free chunk must not touch the counter (fast path).
   const double mid = collapsed.value();
-  evaluate_batch_deduped(worker, {genome_with(24), genome_with(48)}, pool);
+  EvalPipeline(worker).evaluate({genome_with(24), genome_with(48)}, pool);
   EXPECT_DOUBLE_EQ(collapsed.value(), mid);
 }
 

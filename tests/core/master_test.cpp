@@ -4,6 +4,8 @@
 
 #include <atomic>
 
+#include "core/eval_pipeline.h"
+
 namespace ecad::core {
 namespace {
 
@@ -60,7 +62,7 @@ TEST(Master, IntraBatchDedupCollapsesDuplicatesAndFansResultsBack) {
   b.nna.hidden = {32, 8};
   // a twice, b three times, a again: 6 slots, 2 unique evaluations.
   const std::vector<evo::Genome> genomes = {a, b, a, b, b, a};
-  const std::vector<evo::EvalOutcome> outcomes = evaluate_batch_deduped(worker, genomes, pool);
+  const std::vector<evo::EvalOutcome> outcomes = EvalPipeline(worker).evaluate(genomes, pool);
 
   ASSERT_EQ(outcomes.size(), genomes.size());
   EXPECT_EQ(worker.calls(), 2u) << "duplicate genomes crossed the dedup layer";
@@ -80,7 +82,7 @@ TEST(Master, DedupPassesUniqueBatchesStraightThrough) {
   util::ThreadPool pool(2);
   std::vector<evo::Genome> genomes(3);
   for (std::size_t i = 0; i < genomes.size(); ++i) genomes[i].nna.hidden = {8 + 8 * i};
-  const std::vector<evo::EvalOutcome> outcomes = evaluate_batch_deduped(worker, genomes, pool);
+  const std::vector<evo::EvalOutcome> outcomes = EvalPipeline(worker).evaluate(genomes, pool);
   ASSERT_EQ(outcomes.size(), genomes.size());
   EXPECT_EQ(worker.calls(), genomes.size());
   for (const evo::EvalOutcome& outcome : outcomes) EXPECT_TRUE(outcome.ok);
@@ -105,7 +107,7 @@ TEST(Master, DedupPreservesPerSlotErrorsForPoisonedDuplicates) {
   evo::Genome healthy;
   healthy.nna.hidden = {8};
   const std::vector<evo::Genome> genomes = {poisoned, healthy, poisoned};
-  const std::vector<evo::EvalOutcome> outcomes = evaluate_batch_deduped(worker, genomes, pool);
+  const std::vector<evo::EvalOutcome> outcomes = EvalPipeline(worker).evaluate(genomes, pool);
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_FALSE(outcomes[0].ok);
   EXPECT_TRUE(outcomes[1].ok);

@@ -1,7 +1,7 @@
-// End-to-end search service (protocol v4): SearchClient against an
-// in-process SearchServer + SearchScheduler — submission, progress
-// streaming, determinism vs Master::search, cancellation, rejection, and
-// version gating.
+// End-to-end search service: SearchClient against an in-process
+// SearchServer + SearchScheduler — submission, progress streaming,
+// determinism vs Master::search, cancellation, rejection, and refusal of
+// other protocol generations.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,11 +60,10 @@ struct Service {
     server.start();
   }
 
-  SearchClient make_client(std::uint16_t max_protocol = kProtocolVersion) {
+  SearchClient make_client() {
     SearchClientOptions options;
     options.host = "127.0.0.1";
     options.port = server.port();
-    options.max_protocol = max_protocol;
     options.frame_timeout_ms = 60000;
     return SearchClient(options);
   }
@@ -82,7 +81,6 @@ TEST(SearchService, SubmittedSearchMatchesMasterSearchExactly) {
 
   SearchClient client = service.make_client();
   client.connect();
-  EXPECT_EQ(client.version(), kProtocolVersion);
   const std::uint64_t search_id = client.submit(request);
   EXPECT_GT(search_id, 0u);
   std::vector<SearchProgress> progress;
@@ -191,8 +189,35 @@ TEST(SearchService, UnknownFitnessIsRejectedWithReason) {
 
 TEST(SearchService, OldProtocolClientCannotSubmit) {
   Service service;
-  SearchClient client = service.make_client(/*max_protocol=*/3);
-  EXPECT_THROW(client.connect(), WireError);
+  // A current client connected before the old one.
+  SearchClient current = service.make_client();
+  current.connect();
+
+  // An old-generation client's SubmitSearch: the header carries version
+  // kProtocolVersion - 1, so the daemon drops that connection with a Warn
+  // log instead of running the search.
+  ::testing::internal::CaptureStderr();
+  Socket old_client = Socket::connect(Endpoint{"127.0.0.1", service.server.port()}, 2000);
+  SubmitSearch submit;
+  submit.submit_id = 1;
+  submit.request = sample_request(1);
+  WireWriter writer;
+  write_submit_search(writer, submit);
+  std::vector<std::uint8_t> frame = encode_frame(MsgType::SubmitSearch, writer.bytes());
+  frame[4] = static_cast<std::uint8_t>(kProtocolVersion - 1);
+  old_client.send_all(frame.data(), frame.size());
+  std::uint8_t byte = 0;
+  EXPECT_THROW(old_client.recv_exact(&byte, 1, 2000), NetError);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("WARN"), std::string::npos) << log;
+  EXPECT_NE(log.find("protocol version " + std::to_string(kProtocolVersion - 1)),
+            std::string::npos)
+      << log;
+  EXPECT_EQ(service.server.searches_accepted(), 0u);
+
+  // The daemon keeps serving the current client.
+  const std::uint64_t id = current.submit(sample_request(1));
+  EXPECT_EQ(current.stream(id, nullptr).status, SearchDone::Status::Completed);
 }
 
 TEST(SearchService, ShutdownFrameStopsTheServer) {

@@ -1,6 +1,6 @@
-// Protocol v5 stats frames: round-trips over GetStats / StatsReport (the
+// Stats frames: round-trips over GetStats / StatsReport (the
 // write_get_stats/read_get_stats and write_stats_report/read_stats_report
-// codec pairs), bounds rejection on both sides, frame-version rules, and the
+// codec pairs), bounds rejection on both sides, message-type rules, and the
 // registry -> wire rendering the daemons answer GetStats with.
 #include <gtest/gtest.h>
 
@@ -122,20 +122,6 @@ TEST(WireStatsReport, TruncatedPayloadIsRejected) {
   bytes.pop_back();
   WireReader reader(bytes);
   EXPECT_THROW(read_stats_report(reader), WireError);
-}
-
-TEST(WireStats, FramesCarryProtocolVersionFive) {
-  EXPECT_EQ(frame_version_for(MsgType::GetStats), 5);
-  EXPECT_EQ(frame_version_for(MsgType::StatsReport), 5);
-  // The stats frames are the only v5 messages; everything older keeps its
-  // original generation (old peers reject only what they cannot parse).
-  EXPECT_EQ(frame_version_for(MsgType::Hello), 1);
-  EXPECT_EQ(frame_version_for(MsgType::SubmitSearch), 4);
-
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::GetStats, {});
-  const FrameHeader header = decode_frame_header(frame.data());
-  EXPECT_EQ(header.version, 5);
-  EXPECT_EQ(header.type, MsgType::GetStats);
 }
 
 TEST(WireStats, StatsMsgTypesAreKnownAndTheNextValueIsNot) {

@@ -1,7 +1,6 @@
-// Protocol v3 streaming messages (ISSUE 5): randomized round-trips over
-// EvalItemResult / EvalBatchDone, truncation and corruption rejection, and
-// the frame-version rules that keep v1/v2 peers rejecting only what they
-// cannot parse.
+// Streaming messages: randomized round-trips over EvalItemResult /
+// EvalBatchDone, truncation and corruption rejection, and the one-version
+// frame rule.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -152,32 +151,39 @@ TEST(WireBatchDone, TruncationAlwaysThrows) {
 // Frame versioning
 // ---------------------------------------------------------------------------
 
-TEST(WireFrameVersion, StreamingFramesCarryVersion3) {
-  for (MsgType type : {MsgType::EvalItemResult, MsgType::EvalBatchDone}) {
-    const std::vector<std::uint8_t> frame = encode_frame(type, {});
-    EXPECT_EQ(frame[4], 3) << to_string(type);  // version low byte
-    EXPECT_EQ(frame[5], 0) << to_string(type);
-    EXPECT_EQ(decode_frame_header(frame.data()).version, 3) << to_string(type);
-  }
-  // The v2 batch frames must NOT have drifted to v3: a v2-only peer keeps
-  // parsing exactly the messages it always could.
-  EXPECT_EQ(decode_frame_header(encode_frame(MsgType::EvalBatchRequest, {}).data()).version, 2);
-  EXPECT_EQ(decode_frame_header(encode_frame(MsgType::EvalBatchResponse, {}).data()).version, 2);
-}
-
 TEST(WireFrameVersion, VersionBeyondV3IsRejected) {
   std::vector<std::uint8_t> frame = encode_frame(MsgType::Ping, {});
   frame[4] = static_cast<std::uint8_t>(kProtocolVersion + 1);
-  EXPECT_THROW(decode_frame_header(frame.data()), WireError);
+  EXPECT_THROW(decode_frame_header(frame.data()), ProtocolMismatch);
 }
 
-TEST(WireHello, V3TrailerRoundTrips) {
-  WireWriter writer;
-  write_hello_payload(writer, "ecad-master", 3);
-  WireReader reader(writer.bytes());
-  const HelloPayload hello = read_hello_payload(reader);
-  EXPECT_EQ(hello.name, "ecad-master");
-  EXPECT_EQ(hello.max_version, 3);
+TEST(WireFrameVersion, EveryFrameCarriesTheOneProtocolVersion) {
+  for (std::uint16_t raw = 0; raw < 32; ++raw) {
+    std::vector<std::uint8_t> frame = encode_frame(MsgType::Ping, {});
+    frame[6] = static_cast<std::uint8_t>(raw);
+    bool known = true;
+    try {
+      decode_frame_header(frame.data());
+    } catch (const WireError&) {
+      known = false;
+    }
+    if (!known) continue;
+    const MsgType type = static_cast<MsgType>(raw);
+    const std::vector<std::uint8_t> encoded = encode_frame(type, {});
+    EXPECT_EQ(encoded[4], kProtocolVersion & 0xff) << to_string(type);
+    EXPECT_EQ(encoded[5], kProtocolVersion >> 8) << to_string(type);
+    EXPECT_EQ(decode_frame_header(encoded.data()).type, type);
+  }
+}
+
+TEST(WireFrameVersion, RetiredMsgTypesDecodeAsUnknown) {
+  // 3/4 were the per-genome request/response and 9 the collected batch
+  // response; their numbers stay retired instead of being reused.
+  for (std::uint8_t raw : {3, 4, 9, 21}) {
+    std::vector<std::uint8_t> frame = encode_frame(MsgType::Ping, {});
+    frame[6] = raw;
+    EXPECT_THROW(decode_frame_header(frame.data()), WireError) << int{raw};
+  }
 }
 
 }  // namespace
