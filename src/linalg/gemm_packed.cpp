@@ -8,20 +8,7 @@
 
 #include "util/logging.h"
 #include "util/string_util.h"
-
-// On x86-64 GCC, clone the hot loops for wider ISAs and pick the best one at
-// load time via ifunc dispatch; default codegen stays portable (SSE2), so
-// binaries built without -march still run the AVX2/AVX-512 microkernel on
-// hardware that has it. TSan cannot run ifunc resolvers (they execute before
-// the runtime is initialized and segfault at load), so sanitized builds fall
-// back to the portable kernel — races are ISA-independent, nothing is lost.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    !defined(__SANITIZE_THREAD__)
-#define ECAD_GEMM_TARGET_CLONES \
-  __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
-#else
-#define ECAD_GEMM_TARGET_CLONES
-#endif
+#include "util/target_clones.h"
 
 namespace ecad::linalg {
 
@@ -154,14 +141,8 @@ namespace {
 // acc[kMR][kNR] += packed-A strip × packed-B strip over kc. Both strips are
 // contiguous and edge-padded, so the loops have fixed trip counts the
 // vectorizer turns into broadcast-FMA over kNR-wide rows.
-#if defined(__GNUC__)
-#define ECAD_GEMM_INLINE inline __attribute__((always_inline))
-#else
-#define ECAD_GEMM_INLINE inline
-#endif
-
-ECAD_GEMM_INLINE void micro_kernel(std::size_t kc, const float* a_strip, const float* b_strip,
-                                   float acc[kMR * kNR]) {
+ECAD_ALWAYS_INLINE void micro_kernel(std::size_t kc, const float* a_strip,
+                                     const float* b_strip, float acc[kMR * kNR]) {
   for (std::size_t p = 0; p < kc; ++p) {
     const float* a = a_strip + p * kMR;
     const float* b = b_strip + p * kNR;
@@ -180,7 +161,7 @@ ECAD_GEMM_INLINE void micro_kernel(std::size_t kc, const float* a_strip, const f
 }
 
 // One packed A block (mc rows) × one packed B panel (kc × n): adds into C.
-ECAD_GEMM_TARGET_CLONES
+ECAD_TARGET_CLONES
 void macro_kernel(std::size_t mc, std::size_t n, std::size_t kc, const float* packed_a,
                   const float* packed_b, float* c, std::size_t ldc) {
   for (std::size_t j0 = 0; j0 < n; j0 += kNR) {

@@ -31,7 +31,8 @@ void apply_activation(Activation activation, const linalg::Matrix& z, linalg::Ma
 void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
                                const linalg::Matrix& a, linalg::Matrix& delta);
 
-/// Scalar forward, used by tests as the oracle.
+/// Scalar forward. Tanh and ELU run through the same kernel as
+/// apply_activation, so the two agree bit for bit.
 float activate_scalar(Activation activation, float z);
 
 /// Row-wise softmax (numerically stabilized). `y` may alias `z`.

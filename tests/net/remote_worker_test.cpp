@@ -104,7 +104,12 @@ TEST(WorkerServer, ServesConcurrentRequestsFromManyThreads) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 5; ++i) {
         evo::Genome genome;
-        genome.nna.hidden = {static_cast<std::size_t>(8 + 8 * t), static_cast<std::size_t>(4 + i)};
+        // Moved in rather than list-assigned, as in
+        // BatchOutcomesMatchOracleAndUseBatchFrames: with both list
+        // assignments GCC 12 -O3 reports a false -Wnonnull inside
+        // vector::_M_assign_aux.
+        genome.nna.hidden = std::vector<std::size_t>{static_cast<std::size_t>(8 + 8 * t),
+                                                     static_cast<std::size_t>(4 + i)};
         const evo::EvalResult remote_result = remote.evaluate(genome);
         if (!results_identical(remote_result, oracle.evaluate(genome))) {
           mismatches.fetch_add(1);
@@ -303,7 +308,7 @@ TEST(RemoteWorkerBatch, BatchOutcomesMatchOracleAndUseBatchFrames) {
   std::vector<evo::Genome> genomes;
   for (std::size_t i = 0; i < 12; ++i) {
     evo::Genome genome;
-    genome.nna.hidden = {16 + 8 * i, 8};
+    genome.nna.hidden = std::vector<std::size_t>{16 + 8 * i, 8};
     genomes.push_back(genome);
   }
   const std::vector<evo::EvalOutcome> outcomes = remote.evaluate_batch(genomes, pool);

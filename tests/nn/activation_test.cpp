@@ -3,13 +3,158 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace ecad::nn {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Reference oracle for the tanh/ELU kernel: fdlibm's s_expm1f.c and
+// s_tanhf.c (glibc sysdeps/ieee754/flt-32), transliterated to C++ branch
+// for branch. The kernel in src/nn/activation.cpp must match it bit for bit
+// on every input. This file builds with -ffp-contract=off, as the kernel
+// does, so no multiply-add here is fused.
+// ---------------------------------------------------------------------------
+
+std::uint32_t bits(float value) {
+  std::uint32_t out = 0;
+  std::memcpy(&out, &value, sizeof(out));
+  return out;
+}
+
+float from_bits(std::uint32_t word) {
+  float out = 0.0f;
+  std::memcpy(&out, &word, sizeof(out));
+  return out;
+}
+
+// SET_FLOAT_WORD(y, GET_FLOAT_WORD(y) + (k << 23)): adds k to y's exponent.
+float add_to_exponent(float y, std::int32_t k) {
+  return from_bits(bits(y) + (static_cast<std::uint32_t>(k) << 23));
+}
+
+float ref_expm1f(float x) {
+  constexpr float one = 1.0f;
+  constexpr float huge = 1.0e30f;
+  constexpr float tiny = 1.0e-30f;
+  constexpr float o_threshold = 8.8721679688e+01f;  // 0x42b17180
+  constexpr float ln2_hi = 6.9313812256e-01f;       // 0x3f317180
+  constexpr float ln2_lo = 9.0580006145e-06f;       // 0x3717f7d1
+  constexpr float invln2 = 1.4426950216e+00f;       // 0x3fb8aa3b
+  constexpr float Q1 = -3.3333335072e-02f;          // 0xbd088889
+  constexpr float Q2 = 1.5873016091e-03f;           // 0x3ad00d01
+  constexpr float Q3 = -7.9365076090e-05f;          // 0xb8a670cd
+  constexpr float Q4 = 4.0082177293e-06f;           // 0x36867e54
+  constexpr float Q5 = -2.0109921195e-07f;          // 0xb457edbb
+
+  float hi = 0.0f;
+  float lo = 0.0f;
+  float c = 0.0f;
+  float t = 0.0f;
+  std::int32_t k = 0;
+  std::uint32_t hx = bits(x);
+  const std::uint32_t xsb = hx & 0x80000000u;
+  hx &= 0x7fffffff;
+
+  // Huge and non-finite arguments.
+  if (hx >= 0x4195b844) {    // |x| >= 27·ln2
+    if (hx >= 0x42b17218) {  // |x| >= 88.721...
+      if (hx > 0x7f800000) return x + x;                     // NaN
+      if (hx == 0x7f800000) return xsb == 0 ? x : -1.0f;     // exp(±inf) - 1
+      if (x > o_threshold) return huge * huge;               // overflow
+    }
+    if (xsb != 0) return tiny - one;  // x < -27·ln2
+  }
+
+  // Argument reduction.
+  if (hx > 0x3eb17218) {    // |x| > 0.5·ln2
+    if (hx < 0x3f851592) {  // and |x| < 1.5·ln2
+      if (xsb == 0) {
+        hi = x - ln2_hi;
+        lo = ln2_lo;
+        k = 1;
+      } else {
+        hi = x + ln2_hi;
+        lo = -ln2_lo;
+        k = -1;
+      }
+    } else {
+      k = static_cast<std::int32_t>(invln2 * x + (xsb == 0 ? 0.5f : -0.5f));
+      t = static_cast<float>(k);
+      hi = x - t * ln2_hi;
+      lo = t * ln2_lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000) {  // |x| < 2^-25
+    t = huge + x;
+    return x - (t - (huge + x));
+  } else {
+    k = 0;
+  }
+
+  // x is now in the primary range.
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 = one + hxs * (Q1 + hxs * (Q2 + hxs * (Q3 + hxs * (Q4 + hxs * Q5))));
+  t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);
+  e = (x * (e - c) - c);
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k == 1) {
+    if (x < -0.25f) return -2.0f * (e - (x + 0.5f));
+    return one + 2.0f * (x - e);
+  }
+  if (k <= -2 || k > 56) return add_to_exponent(one - (e - x), k) - one;
+  float y = 0.0f;
+  if (k < 23) {
+    t = from_bits(0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    y = t - (e - x);
+  } else {
+    t = from_bits(static_cast<std::uint32_t>(0x7f - k) << 23);  // 2^-k
+    y = x - (e + t);
+    y += one;
+  }
+  return add_to_exponent(y, k);
+}
+
+float ref_tanhf(float x) {
+  constexpr float one = 1.0f;
+  constexpr float two = 2.0f;
+  constexpr float tiny = 1.0e-30f;
+  const auto jx = static_cast<std::int32_t>(bits(x));
+  const std::int32_t ix = jx & 0x7fffffff;
+
+  if (ix >= 0x7f800000) return jx >= 0 ? one / x + one : one / x - one;  // inf or NaN
+
+  float z = 0.0f;
+  if (ix < 0x41b00000) {               // |x| < 22
+    if (ix == 0) return x;             // ±0
+    if (ix < 0x24000000) return x * (one + x);  // |x| < 2^-55
+    if (ix >= 0x3f800000) {            // |x| >= 1
+      const float t = ref_expm1f(two * std::fabs(x));
+      z = one - two / (t + two);
+    } else {
+      const float t = ref_expm1f(-two * std::fabs(x));
+      z = -t / (t + two);
+    }
+  } else {
+    z = one - tiny;  // |x| >= 22: ±1
+  }
+  return jx >= 0 ? z : -z;
+}
+
+float ref_elu(float x) { return x > 0.0f ? x : ref_expm1f(x); }
 
 TEST(Activation, NamesRoundTrip) {
   for (Activation activation :
@@ -96,7 +241,7 @@ void pre_based_gradient(Activation activation, const linalg::Matrix& z, linalg::
         break;
       }
       case Activation::Tanh: {
-        const float t = std::tanh(pre[i]);
+        const float t = ref_tanhf(pre[i]);
         d[i] *= 1.0f - t * t;
         break;
       }
@@ -110,12 +255,6 @@ void pre_based_gradient(Activation activation, const linalg::Matrix& z, linalg::
         break;
     }
   }
-}
-
-std::uint32_t bits(float value) {
-  std::uint32_t out = 0;
-  std::memcpy(&out, &value, sizeof(out));
-  return out;
 }
 
 TEST_P(ActivationParamTest, GradientBitIdenticalToPreBasedReference) {
@@ -180,6 +319,183 @@ TEST(Softmax, ShiftInvariance) {
   softmax_rows(a, ya);
   softmax_rows(b, yb);
   EXPECT_TRUE(ya.approx_equal(yb, 1e-5f));
+}
+
+// ---------------------------------------------------------------------------
+// tanh/ELU kernel vs the fdlibm reference
+// ---------------------------------------------------------------------------
+
+// Positive float words at which fdlibm's expm1f changes branch: NaN/inf,
+// overflow, o_threshold, 27·ln2, 0.5·ln2, 1.5·ln2, 2^-25, and where the
+// reduction's k reaches 23 (22.5·ln2) and 57 (56.5·ln2).
+constexpr std::uint32_t kExpm1Thresholds[] = {0x7f800000, 0x42b17218, 0x42b17180,
+                                              0x4195b844, 0x3eb17218, 0x3f851592,
+                                              0x33000000, 0x41798872, 0x421ca6b9};
+// tanhf's own thresholds: 22, 1, 2^-55 and 0.
+constexpr std::uint32_t kTanhThresholds[] = {0x41b00000, 0x3f800000, 0x24000000, 0x00000000};
+constexpr std::int32_t kThresholdUlps = 4096;
+
+// The inputs both kernel tests run: a strided sweep of all 2^32 bit
+// patterns, every word within kThresholdUlps of a threshold (for tanh also
+// of half an expm1 threshold, since tanh calls expm1 on 2|x|), a strided
+// sweep of the subnormals, and the special values — each with both signs.
+std::vector<float> kernel_sweep() {
+  std::vector<std::uint32_t> words;
+  for (std::uint64_t w = 0; w < (std::uint64_t{1} << 32); w += 4099) {
+    words.push_back(static_cast<std::uint32_t>(w));
+  }
+  std::vector<std::uint32_t> centres(std::begin(kTanhThresholds), std::end(kTanhThresholds));
+  for (std::uint32_t t : kExpm1Thresholds) {
+    centres.push_back(t);
+    centres.push_back(t - 0x00800000);  // t / 2
+  }
+  for (std::uint32_t centre : centres) {
+    for (std::int32_t d = -kThresholdUlps; d <= kThresholdUlps; ++d) {
+      const std::int64_t w = static_cast<std::int64_t>(centre) + d;
+      if (w < 0 || w > 0x7fffffff) continue;
+      words.push_back(static_cast<std::uint32_t>(w));
+    }
+  }
+  for (std::uint32_t w = 1; w < 0x00800000; w += 97) words.push_back(w);
+  for (std::uint32_t w : {0x00000000u, 0x00000001u, 0x007fffffu, 0x00800000u, 0x7f7fffffu,
+                          0x7f800000u, 0x7f800001u, 0x7fa00000u, 0x7fc00000u, 0x7fc00001u,
+                          0x7fffffffu}) {
+    words.push_back(w);
+  }
+  std::vector<float> out;
+  out.reserve(2 * words.size());
+  for (std::uint32_t w : words) {
+    out.push_back(from_bits(w));
+    out.push_back(from_bits(w ^ 0x80000000u));
+  }
+  return out;
+}
+
+using ScalarFn = float (*)(float);
+
+struct KernelCase {
+  Activation activation;
+  ScalarFn reference;
+};
+
+constexpr KernelCase kKernelCases[] = {{Activation::Tanh, ref_tanhf},
+                                       {Activation::Elu, ref_elu}};
+
+// Runs the kernel over `inputs` and counts outputs whose bits differ from
+// the reference, describing the first few in `report`.
+std::size_t kernel_mismatches(const KernelCase& kc, const std::vector<float>& inputs,
+                              std::string* report) {
+  linalg::Matrix z(1, inputs.size());
+  std::copy(inputs.begin(), inputs.end(), z.raw());
+  linalg::Matrix y;
+  apply_activation(kc.activation, z, y);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const std::uint32_t want = bits(kc.reference(inputs[i]));
+    const std::uint32_t got = bits(y.raw()[i]);
+    if (want == got) continue;
+    if (++mismatches <= 8 && report != nullptr) {
+      char line[96];
+      std::snprintf(line, sizeof(line), "  %s(0x%08x): got 0x%08x, want 0x%08x\n",
+                    std::string(to_string(kc.activation)).c_str(), bits(inputs[i]), got, want);
+      *report += line;
+    }
+  }
+  return mismatches;
+}
+
+TEST(ActivationKernels, SweepMatchesReference) {
+  const std::vector<float> inputs = kernel_sweep();
+  for (const KernelCase& kc : kKernelCases) {
+    std::string report;
+    EXPECT_EQ(kernel_mismatches(kc, inputs, &report), 0u) << report;
+  }
+}
+
+// FNV-1a over the output words, little-endian byte order.
+std::uint64_t fnv64(const linalg::Matrix& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (float v : values.data()) {
+    const std::uint32_t w = bits(v);
+    for (int shift = 0; shift < 32; shift += 8) {
+      hash ^= (w >> shift) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+TEST(ActivationKernels, SweepDigestMatchesGlibc) {
+  // Digests of glibc 2.36's tanhf and of x > 0 ? x : expm1f(x) over
+  // kernel_sweep(), recorded from the loops this kernel replaced. They pin
+  // the kernel to those values without calling the host's libm.
+  constexpr std::uint64_t kGlibcTanhDigest = 0xbc6c9a8f9ba71659ull;
+  constexpr std::uint64_t kGlibcEluDigest = 0xe137fe6e7d47dd67ull;
+  const std::vector<float> inputs = kernel_sweep();
+  linalg::Matrix z(1, inputs.size());
+  std::copy(inputs.begin(), inputs.end(), z.raw());
+  linalg::Matrix y;
+  apply_activation(Activation::Tanh, z, y);
+  EXPECT_EQ(fnv64(y), kGlibcTanhDigest);
+  apply_activation(Activation::Elu, z, y);
+  EXPECT_EQ(fnv64(y), kGlibcEluDigest);
+}
+
+TEST(ActivationKernels, TailLengthsMatchReference) {
+  // Every length from 0 to 17 covers a bare tail, one full vector, and a
+  // full vector plus each tail size; each run also goes in place and
+  // through activate_scalar.
+  util::Rng rng(13);
+  for (const KernelCase& kc : kKernelCases) {
+    for (std::size_t n = 0; n <= 17; ++n) {
+      std::vector<float> inputs;
+      for (std::size_t i = 0; i < n; ++i) {
+        inputs.push_back(i % 5 == 4 ? std::numeric_limits<float>::quiet_NaN()
+                                    : static_cast<float>(rng.next_double(-30.0, 30.0)));
+      }
+      std::string report;
+      EXPECT_EQ(kernel_mismatches(kc, inputs, &report), 0u) << "n=" << n << "\n" << report;
+      linalg::Matrix z(1, n);
+      std::copy(inputs.begin(), inputs.end(), z.raw());
+      apply_activation(kc.activation, z, z);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(bits(z.raw()[i]), bits(kc.reference(inputs[i]))) << "in place, n=" << n;
+        EXPECT_EQ(bits(activate_scalar(kc.activation, inputs[i])),
+                  bits(kc.reference(inputs[i])));
+      }
+    }
+  }
+}
+
+// All 2^32 inputs, about a minute on four threads of a Release build. CI
+// runs it in the bench-smoke job with --gtest_also_run_disabled_tests.
+TEST(ActivationKernels, DISABLED_ExhaustiveMatchesReference) {
+  constexpr std::uint64_t kTotal = std::uint64_t{1} << 32;
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  const unsigned threads = std::max(1u, std::min(4u, std::thread::hardware_concurrency()));
+  for (const KernelCase& kc : kKernelCases) {
+    std::atomic<std::uint64_t> next{0};
+    std::atomic<std::size_t> mismatches{0};
+    std::string first_report;
+    std::atomic<bool> reported{false};
+    auto worker = [&] {
+      std::vector<float> inputs(kChunk);
+      for (std::uint64_t base = next.fetch_add(kChunk); base < kTotal;
+           base = next.fetch_add(kChunk)) {
+        for (std::size_t i = 0; i < kChunk; ++i) {
+          inputs[i] = from_bits(static_cast<std::uint32_t>(base + i));
+        }
+        std::string report;
+        const std::size_t bad = kernel_mismatches(kc, inputs, &report);
+        if (bad != 0 && !reported.exchange(true)) first_report = report;
+        mismatches += bad;
+      }
+    };
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
+    EXPECT_EQ(mismatches.load(), 0u) << to_string(kc.activation) << "\n" << first_report;
+  }
 }
 
 }  // namespace
