@@ -6,7 +6,10 @@
 // they finish instead of waiting for it.  The JSON
 // (BENCH_batch_latency.json) reports p50/p99 per-eval latency, and the exit
 // gate requires the p99 to stay below the straggler's delay: a collected
-// per-shard response would make every shard-mate pay that delay.
+// per-shard response would make every shard-mate pay that delay.  Each
+// latency statistic is the median over several measured passes: with 128
+// items the p99 lies between the third- and second-slowest items, which a
+// single descheduled fast item on a shared host would otherwise decide.
 //
 // Part 2 (paper §III-D): "Architectures such as GPU typically batch with a
 // larger M dimension to fill up compute cores... Our design for FPGA does
@@ -123,6 +126,32 @@ double mean(const std::vector<double>& values) {
   return sum / static_cast<double>(values.size());
 }
 
+/// Per-pass statistics, each the median over the measured passes.
+struct PassSummary {
+  std::size_t items = 0;  // per pass
+  double p50_s = 0.0;
+  double p99_s = 0.0;
+  double mean_s = 0.0;
+  double wall_s = 0.0;
+};
+
+PassSummary summarize(const std::vector<ModeResult>& passes) {
+  std::vector<double> p50, p99, means, walls;
+  for (const ModeResult& pass : passes) {
+    p50.push_back(percentile(pass.latencies_s, 0.5));
+    p99.push_back(percentile(pass.latencies_s, 0.99));
+    means.push_back(mean(pass.latencies_s));
+    walls.push_back(pass.wall_s);
+  }
+  PassSummary summary;
+  summary.items = passes.empty() ? 0 : passes.front().latencies_s.size();
+  summary.p50_s = percentile(p50, 0.5);
+  summary.p99_s = percentile(p99, 0.5);
+  summary.mean_s = percentile(means, 0.5);
+  summary.wall_s = percentile(walls, 0.5);
+  return summary;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -133,8 +162,11 @@ int main(int argc, char** argv) {
   // One straggler in the whole workload (<2% of items): a per-shard
   // barrier would inflate a full shard (8/N of the population, above the
   // p99 rank) to straggler latency, while streaming confines the cost to
-  // the straggler's own slot.
-  const std::size_t num_items = quick ? 96 : 128;
+  // the straggler's own slot.  --quick shortens the sleeps but keeps the
+  // item count, so its p99 stays below the straggler and quick runs measure
+  // the same tail shape as the committed full-length baseline: with 96
+  // items the interpolated p99 would take 5% of the straggler (~2x p50).
+  const std::size_t num_items = 128;
   const std::size_t shard_size = 8;
   const std::size_t slow_width = num_items / 2;  // exactly one genome matches
   const int fast_ms = quick ? 1 : 2;
@@ -151,28 +183,31 @@ int main(int argc, char** argv) {
   std::vector<evo::Genome> genomes(num_items);
   for (std::size_t i = 0; i < num_items; ++i) genomes[i].nna.hidden = {i + 1};
 
-  // One untimed pass first: the measured pass then meets a warm daemon
+  // One untimed pass first: the measured passes then meet a warm daemon
   // (pool threads up, allocator primed), the same state the committed
   // baseline was measured in.
+  constexpr std::size_t kMeasuredPasses = 7;
   (void)run_streaming(endpoint, genomes, shard_size);
-  const ModeResult streaming = run_streaming(endpoint, genomes, shard_size);
+  std::vector<ModeResult> passes;
+  for (std::size_t pass = 0; pass < kMeasuredPasses; ++pass) {
+    passes.push_back(run_streaming(endpoint, genomes, shard_size));
+  }
   server.stop();
+  const PassSummary streaming = summarize(passes);
 
   util::TextTable wire_table(
       {"Mode", "Items", "p50 (ms)", "p99 (ms)", "Mean (ms)", "Wall (s)"});
-  const auto add_mode = [&wire_table](const char* name, const ModeResult& mode) {
-    wire_table.add_row({name, std::to_string(mode.latencies_s.size()),
-                        util::format_fixed(percentile(mode.latencies_s, 0.5) * 1e3, 2),
-                        util::format_fixed(percentile(mode.latencies_s, 0.99) * 1e3, 2),
-                        util::format_fixed(mean(mode.latencies_s) * 1e3, 2),
-                        util::format_fixed(mode.wall_s, 3)});
-  };
-  add_mode("streaming", streaming);
+  wire_table.add_row({"streaming", std::to_string(streaming.items),
+                      util::format_fixed(streaming.p50_s * 1e3, 2),
+                      util::format_fixed(streaming.p99_s * 1e3, 2),
+                      util::format_fixed(streaming.mean_s * 1e3, 2),
+                      util::format_fixed(streaming.wall_s, 3)});
   wire_table.print(std::cout, "ABLATION: per-eval latency, per-item streaming "
                               "(one straggler, shards of " +
-                                  std::to_string(shard_size) + ")");
+                                  std::to_string(shard_size) + "; median of " +
+                                  std::to_string(kMeasuredPasses) + " passes)");
 
-  const double p99 = percentile(streaming.latencies_s, 0.99);
+  const double p99 = streaming.p99_s;
   const double straggler_s = slow_ms / 1e3;
   util::BenchReport report("batch_latency");
   report.set_metadata("title", "per-eval latency: per-item streaming");
@@ -181,14 +216,16 @@ int main(int argc, char** argv) {
                                       std::to_string(fast_ms) + "ms fast / " +
                                       std::to_string(slow_ms) + "ms slow)");
   report.set_metadata("quick", quick ? "1" : "0");
+  report.set_metadata("passes", std::to_string(kMeasuredPasses) +
+                                    " measured, each metric the median over them");
   // The entry name keeps its committed key: check_bench_regression.py's
   // tail gate compares it against the baseline in BENCH_batch_latency.json.
   report.add_entry("v3_streaming")
       .label("mode", "per-item result frames")
-      .metric("items", static_cast<double>(streaming.latencies_s.size()))
-      .metric("p50_ms", percentile(streaming.latencies_s, 0.5) * 1e3)
+      .metric("items", static_cast<double>(streaming.items))
+      .metric("p50_ms", streaming.p50_s * 1e3)
       .metric("p99_ms", p99 * 1e3)
-      .metric("mean_ms", mean(streaming.latencies_s) * 1e3)
+      .metric("mean_ms", streaming.mean_s * 1e3)
       .metric("wall_s", streaming.wall_s);
   benchtool::emit_report(report);
 

@@ -185,6 +185,7 @@ std::vector<Genome> EvolutionEngine::breed_offspring(const std::vector<Candidate
   offspring.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     Genome child;
+    std::string key;
     bool fresh = false;
     for (std::size_t attempt = 0; attempt < config_.dedup_attempts && !fresh; ++attempt) {
       const Candidate& parent_a = population[tournament_best(population, rng)];
@@ -202,7 +203,8 @@ std::vector<Genome> EvolutionEngine::breed_offspring(const std::vector<Candidate
         extra -= 1.0;
       }
       child = mutate(child, space_, rng, mutations);
-      fresh = !cache_.contains(child.key());
+      key = child.key();
+      fresh = !cache_.contains(key);
     }
     if (!fresh) {
       util::MutexLock lock(stats_mutex_);
@@ -210,7 +212,7 @@ std::vector<Genome> EvolutionEngine::breed_offspring(const std::vector<Candidate
       continue;  // all attempts hit known genomes; skip this slot
     }
     // Reserve the key so no later batch (in flight or not) can contain twins.
-    cache_.reserve(child.key());
+    cache_.reserve(key);
     offspring.push_back(std::move(child));
   }
   if (offspring.empty()) {
@@ -219,8 +221,9 @@ std::vector<Genome> EvolutionEngine::breed_offspring(const std::vector<Candidate
     // sampling cannot escape the evaluated neighborhood: stop the search
     // (signalled by the empty vector).
     Genome immigrant = random_genome(space_, rng);
-    if (cache_.contains(immigrant.key())) return offspring;
-    cache_.reserve(immigrant.key());
+    const std::string key = immigrant.key();
+    if (cache_.contains(key)) return offspring;
+    cache_.reserve(key);
     offspring.push_back(std::move(immigrant));
   }
   return offspring;
@@ -277,11 +280,11 @@ EvolutionResult EvolutionEngine::run(util::Rng& rng, util::ThreadPool& pool) {
          attempts < config_.population_size * 50) {
     Genome genome = random_genome(space_, rng);
     ++attempts;
-    const std::string key = genome.key();
-    const bool duplicate =
-        std::any_of(seeds.begin(), seeds.end(),
-                    [&key](const Genome& g) { return g.key() == key; });
-    if (!duplicate) seeds.push_back(std::move(genome));
+    // key() renders exactly the fields == compares, so equal genomes are
+    // the duplicates a key comparison would find.
+    if (std::find(seeds.begin(), seeds.end(), genome) == seeds.end()) {
+      seeds.push_back(std::move(genome));
+    }
   }
   std::vector<Candidate> population = [&] {
     util::TraceSpan span("evo", "generation 0");

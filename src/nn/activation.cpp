@@ -14,19 +14,28 @@ namespace {
 constexpr float kLeakySlope = 0.01f;
 
 // ---------------------------------------------------------------------------
-// tanh and ELU kernel
+// Lane kernels: exp, sigmoid, tanh, ELU and the ELU gradient
 // ---------------------------------------------------------------------------
 //
-// fdlibm's s_expm1f.c and s_tanhf.c (the float versions glibc ships in
-// sysdeps/ieee754/flt-32), transliterated to eight lanes at a time. Every
-// branch of the C source becomes a lane select, and each lane performs the
-// same IEEE float operations in the same order as the scalar code, so the
-// results are bit-identical to the scalar fdlibm functions on every input,
-// NaN payloads and signed zeros included. That requires this file to build
-// with -ffp-contract=off: the x86-64-v3/v4 clones have FMA, and contracting
-// a multiply-add would round once where fdlibm rounds twice.
+// Two libm sources, transliterated to eight lanes at a time, so that the
+// activations return the same bits on every host and ISA:
 //
-// The scalar transliteration the lanes are tested against lives in
+//  - fdlibm's s_expm1f.c and s_tanhf.c (the float versions glibc ships in
+//    sysdeps/ieee754/flt-32) for tanh and ELU. Every branch of the C source
+//    becomes a lane select, and each lane performs the same IEEE float
+//    operations in the same order as the scalar code, so the results are
+//    bit-identical to the scalar fdlibm functions on every input, NaN
+//    payloads and signed zeros included. That requires this file to build
+//    with -ffp-contract=off: the x86-64-v3/v4 clones have FMA, and
+//    contracting a multiply-add would round once where fdlibm rounds twice.
+//  - glibc 2.36's e_expf.c for exp (sigmoid, the ELU gradient, softmax). It
+//    works in double, and glibc builds it twice and picks a variant by CPU;
+//    the FMA variant fuses five multiply-adds. The lanes fuse exactly those
+//    five with explicit fma calls, which -ffp-contract=off leaves alone, so
+//    every clone returns the FMA variant's results. In the default clone
+//    each fma is a libm call: exact, but slower than the host's expf.
+//
+// The scalar transliterations the lanes are tested against live in
 // tests/nn/activation_test.cpp.
 
 // The helpers take and return vectors by reference: a 32-byte vector passed
@@ -34,7 +43,84 @@ constexpr float kLeakySlope = 0.01f;
 using F8 = float __attribute__((vector_size(32)));
 using I8 = std::int32_t __attribute__((vector_size(32)));
 using U8 = std::uint32_t __attribute__((vector_size(32)));
+using D8 = double __attribute__((vector_size(64)));
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
 constexpr std::size_t kLanes = 8;
+
+// e_expf.c's table (glibc's __exp2f_data.tab): entry i is the bits of the
+// correctly rounded 2^(i/32) minus i << 47, so that adding k << 47 for
+// k = 32·e + i yields 2^(k/32) with the exponent e already in place.
+alignas(64) constexpr std::uint64_t kExp2Table[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+// r = a·b + c in each lane, rounded once. GCC turns the loop into vector
+// FMA instructions in the x86-64-v3/v4 clones.
+ECAD_ALWAYS_INLINE void fma_lanes(const D8& a, const D8& b, const D8& c, D8& r) {
+  for (std::size_t i = 0; i < kLanes; ++i) r[i] = __builtin_fma(a[i], b[i], c[i]);
+}
+
+// t = kExp2Table[index] for indices in [0, 32).
+ECAD_ALWAYS_INLINE void exp2_table_lanes(const U64x8& index, U64x8& t) {
+#if defined(__GNUC__) && !defined(__clang__)
+  // Two 16-entry shuffles and a select: one vpermt2q each on x86-64-v4.
+  U64x8 quarter[4];
+  std::memcpy(quarter, kExp2Table, sizeof(quarter));
+  const U64x8 low = __builtin_shuffle(quarter[0], quarter[1], index);
+  const U64x8 high = __builtin_shuffle(quarter[2], quarter[3], index);
+  t = index < 16 ? low : high;
+#else
+  for (std::size_t i = 0; i < kLanes; ++i) t[i] = kExp2Table[index[i]];
+#endif
+}
+
+// glibc e_expf.c: x·32/ln2 = k + r with integer k and |r| <= 1/2, then
+// exp(x) = 2^(k/32) · 2^(r/32), the second factor a cubic in r. Lanes that
+// glibc answers before the reduction (NaN, ±inf, overflow, underflow to 0)
+// run it anyway and take their answer from the selects at the end.
+ECAD_ALWAYS_INLINE void exp_lanes(const F8& x, F8& r) {
+  constexpr double inv_ln2_n = 0x1.71547652b82fep+0 * 32;
+  constexpr double shift = 0x1.8p+52;
+  constexpr double C0 = 0x1.c6af84b912394p-5 / 32 / 32 / 32;
+  constexpr double C1 = 0x1.ebfce50fac4f3p-3 / 32 / 32;
+  constexpr double C2 = 0x1.62e42ff0c52d6p-1 / 32;
+  const D8 dzero = {};
+  const F8 zero = {};
+
+  const D8 xd = __builtin_convertvector(x, D8);
+  // Adding 1.5·2^52 rounds x·32/ln2 to the integer k held in kd's low
+  // mantissa bits; shift - kd is -k exactly.
+  D8 kd;
+  fma_lanes(dzero + inv_ln2_n, xd, dzero + shift, kd);
+  const U64x8 ki = reinterpret_cast<U64x8>(kd);
+  const D8 neg_k = shift - kd;
+  D8 red;
+  fma_lanes(dzero + inv_ln2_n, xd, neg_k, red);
+
+  U64x8 t;
+  exp2_table_lanes(ki & 31, t);
+  t += ki << 47;
+  const D8 s = reinterpret_cast<D8>(t);
+  D8 z;
+  fma_lanes(dzero + C0, red, dzero + C1, z);
+  const D8 r2 = red * red;
+  D8 y;
+  fma_lanes(dzero + C2, red, dzero + 1.0, y);
+  fma_lanes(z, r2, y, y);
+  y *= s;
+
+  r = __builtin_convertvector(y, F8);
+  r = x < -0x1.9fe368p6f ? zero : r;             // below log(2^-150), -inf included
+  r = x > 0x1.62e42ep6f ? zero + HUGE_VALF : r;  // above log(2^128), +inf included
+  r = x != x ? x + x : r;                        // NaN
+}
 
 // fdlibm expm1f. Lanes that fdlibm answers before argument reduction (NaN,
 // ±inf, overflow, x <= -27·ln2) run the polynomial on x = 0 and take their
@@ -131,45 +217,65 @@ ECAD_ALWAYS_INLINE void tanh_lanes(const F8& x, F8& r) {
   r = ix >= 0x7f800000 ? (positive ? 1.0f / x + 1.0f : 1.0f / x - 1.0f) : r;
 }
 
-template <Activation kActivation>
-ECAD_ALWAYS_INLINE void activate_lanes(F8& v) {
+enum class Kernel { Exp, Sigmoid, Tanh, Elu, EluGradient };
+
+// v = f(x) for the activations; for the ELU gradient v is the incoming
+// delta, scaled where x <= 0.
+template <Kernel kKernel>
+ECAD_ALWAYS_INLINE void kernel_lanes(const F8& x, F8& v) {
   F8 r;
-  if constexpr (kActivation == Activation::Tanh) {
-    tanh_lanes(v, r);
+  if constexpr (kKernel == Kernel::Exp) {
+    exp_lanes(x, r);
+  } else if constexpr (kKernel == Kernel::Sigmoid) {
+    exp_lanes(-x, r);
+    r = 1.0f / (1.0f + r);
+  } else if constexpr (kKernel == Kernel::Tanh) {
+    tanh_lanes(x, r);
+  } else if constexpr (kKernel == Kernel::Elu) {
+    expm1_lanes(x, r);
+    r = x > 0.0f ? x : r;
   } else {
-    expm1_lanes(v, r);
-    r = v > 0.0f ? v : r;
+    // f'(z) = exp(z) for z <= 0. a + 1 == expm1(z) + 1 is not bit-equal
+    // to exp(z), so the gradient runs the exp kernel on z.
+    exp_lanes(x, r);
+    r = x <= 0.0f ? v * r : v;
   }
   v = r;
 }
 
-// out[i] = f(in[i]) for the lane kernels; a ragged tail runs as one
+// Runs kernel_lanes over in[0, n) and out[0, n); a ragged tail runs as one
 // zero-padded vector. `out` may alias `in`.
-template <Activation kActivation>
+template <Kernel kKernel>
 ECAD_ALWAYS_INLINE void map_lanes(const float* in, float* out, std::size_t n) {
+  constexpr bool reads_out = kKernel == Kernel::EluGradient;
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    F8 v;
-    std::memcpy(&v, in + i, sizeof(v));
-    activate_lanes<kActivation>(v);
+    F8 x;
+    F8 v = {};
+    std::memcpy(&x, in + i, sizeof(x));
+    if constexpr (reads_out) std::memcpy(&v, out + i, sizeof(v));
+    kernel_lanes<kKernel>(x, v);
     std::memcpy(out + i, &v, sizeof(v));
   }
   if (i < n) {
+    F8 x = {};
     F8 v = {};
-    std::memcpy(&v, in + i, (n - i) * sizeof(float));
-    activate_lanes<kActivation>(v);
+    std::memcpy(&x, in + i, (n - i) * sizeof(float));
+    if constexpr (reads_out) std::memcpy(&v, out + i, (n - i) * sizeof(float));
+    kernel_lanes<kKernel>(x, v);
     std::memcpy(out + i, &v, (n - i) * sizeof(float));
   }
 }
 
 ECAD_TARGET_CLONES
-void tanh_array(const float* in, float* out, std::size_t n) {
-  map_lanes<Activation::Tanh>(in, out, n);
-}
-
-ECAD_TARGET_CLONES
-void elu_array(const float* in, float* out, std::size_t n) {
-  map_lanes<Activation::Elu>(in, out, n);
+void run_kernel(Kernel kernel, const float* in, float* out, std::size_t n) {
+  switch (kernel) {
+    case Kernel::Exp: map_lanes<Kernel::Exp>(in, out, n); break;
+    case Kernel::Sigmoid: map_lanes<Kernel::Sigmoid>(in, out, n); break;
+    case Kernel::Tanh: map_lanes<Kernel::Tanh>(in, out, n); break;
+    case Kernel::Elu: map_lanes<Kernel::Elu>(in, out, n); break;
+    case Kernel::EluGradient: map_lanes<Kernel::EluGradient>(in, out, n); break;
+  }
 }
 
 // Gives `y` the shape of `z` for an elementwise kernel that overwrites every
@@ -207,10 +313,10 @@ Activation activation_from_name(std::string_view name) {
 float activate_scalar(Activation activation, float z) {
   switch (activation) {
     case Activation::ReLU: return z > 0.0f ? z : 0.0f;
-    case Activation::Sigmoid: return 1.0f / (1.0f + std::exp(-z));
-    case Activation::Tanh: tanh_array(&z, &z, 1); return z;
+    case Activation::Sigmoid: run_kernel(Kernel::Sigmoid, &z, &z, 1); return z;
+    case Activation::Tanh: run_kernel(Kernel::Tanh, &z, &z, 1); return z;
     case Activation::LeakyReLU: return z > 0.0f ? z : kLeakySlope * z;
-    case Activation::Elu: elu_array(&z, &z, 1); return z;
+    case Activation::Elu: run_kernel(Kernel::Elu, &z, &z, 1); return z;
     case Activation::Identity: return z;
   }
   return z;
@@ -226,16 +332,16 @@ void apply_activation(Activation activation, const linalg::Matrix& z, linalg::Ma
       for (std::size_t i = 0; i < n; ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
       break;
     case Activation::Sigmoid:
-      for (std::size_t i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-in[i]));
+      run_kernel(Kernel::Sigmoid, in, out, n);
       break;
     case Activation::Tanh:
-      tanh_array(in, out, n);
+      run_kernel(Kernel::Tanh, in, out, n);
       break;
     case Activation::LeakyReLU:
       for (std::size_t i = 0; i < n; ++i) out[i] = in[i] > 0.0f ? in[i] : kLeakySlope * in[i];
       break;
     case Activation::Elu:
-      elu_array(in, out, n);
+      run_kernel(Kernel::Elu, in, out, n);
       break;
     case Activation::Identity:
       if (&y != &z) std::copy(in, in + n, out);
@@ -253,9 +359,10 @@ void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
   const float* __restrict post = a.raw();
   float* __restrict d = delta.raw();
   const std::size_t n = z.size();
-  // Every loop but ELU's is branch-free so it vectorizes. Sigmoid and Tanh
-  // read f(z) back from `post` instead of recomputing exp/tanh: forward
-  // produced it with the same expression, so the bits are the same.
+  // Every loop is branch-free so it vectorizes; ELU's runs the exp kernel.
+  // Sigmoid and Tanh read f(z) back from `post` instead of recomputing
+  // exp/tanh: forward produced it with the same expression, so the bits
+  // are the same.
   switch (activation) {
     case Activation::ReLU:
       for (std::size_t i = 0; i < n; ++i) d[i] = pre[i] <= 0.0f ? 0.0f : d[i];
@@ -270,30 +377,34 @@ void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
       for (std::size_t i = 0; i < n; ++i) d[i] *= pre[i] <= 0.0f ? kLeakySlope : 1.0f;
       break;
     case Activation::Elu:
-      // f'(z) = exp(z) for z <= 0. post + 1 == expm1(z) + 1 is not
-      // bit-equal to exp(z), so this loop keeps its exp call.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (pre[i] <= 0.0f) d[i] *= std::exp(pre[i]);
-      }
+      run_kernel(Kernel::EluGradient, pre, d, n);
       break;
     case Activation::Identity:
       break;
   }
 }
 
+void exp_array(const float* in, float* out, std::size_t n) {
+  run_kernel(Kernel::Exp, in, out, n);
+}
+
 void softmax_rows(const linalg::Matrix& z, linalg::Matrix& y) {
   match_shape(z, y);
   const std::size_t cols = z.cols();
+  // Shift every row by its max, exponentiate the whole matrix in one pass,
+  // then normalize each row, summing in column order.
   for (std::size_t r = 0; r < z.rows(); ++r) {
     const float* in = z.raw() + r * cols;
     float* out = y.raw() + r * cols;
     float max_v = in[0];
     for (std::size_t c = 1; c < cols; ++c) max_v = std::max(max_v, in[c]);
+    for (std::size_t c = 0; c < cols; ++c) out[c] = in[c] - max_v;
+  }
+  exp_array(y.raw(), y.raw(), y.size());
+  for (std::size_t r = 0; r < y.rows(); ++r) {
+    float* out = y.raw() + r * cols;
     float total = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) {
-      out[c] = std::exp(in[c] - max_v);
-      total += out[c];
-    }
+    for (std::size_t c = 0; c < cols; ++c) total += out[c];
     const float inv = 1.0f / total;
     for (std::size_t c = 0; c < cols; ++c) out[c] *= inv;
   }

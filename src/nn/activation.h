@@ -3,6 +3,7 @@
 // and bias").
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -31,11 +32,16 @@ void apply_activation(Activation activation, const linalg::Matrix& z, linalg::Ma
 void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
                                const linalg::Matrix& a, linalg::Matrix& delta);
 
-/// Scalar forward. Tanh and ELU run through the same kernel as
+/// Scalar forward. Sigmoid, Tanh and ELU run through the same kernels as
 /// apply_activation, so the two agree bit for bit.
 float activate_scalar(Activation activation, float z);
 
-/// Row-wise softmax (numerically stabilized). `y` may alias `z`.
+/// out[i] = exp(in[i]) for i < n. The results are those of glibc 2.36's
+/// expf as built with FMA, on every host and ISA. `out` may alias `in`.
+void exp_array(const float* in, float* out, std::size_t n);
+
+/// Row-wise softmax (numerically stabilized), exponentiating through
+/// exp_array. `y` may alias `z`.
 void softmax_rows(const linalg::Matrix& z, linalg::Matrix& y);
 
 }  // namespace ecad::nn
