@@ -77,6 +77,19 @@ struct Row {
   double vs_blocked = 0.0;  // 0 when the legacy baseline was not measured
 };
 
+Row make_row(const std::string& kernel, const Shape& shape, std::size_t threads, double seconds,
+             double naive_s, double blocked_s) {
+  Row row;
+  row.kernel = kernel;
+  row.shape = shape;
+  row.threads = threads;
+  row.seconds = seconds;
+  row.gflops = shape.flops() / seconds / 1e9;
+  row.vs_naive = naive_s > 0.0 ? naive_s / seconds : 0.0;
+  row.vs_blocked = blocked_s > 0.0 ? blocked_s / seconds : 0.0;
+  return row;
+}
+
 void verify(const linalg::Matrix& actual, const linalg::Matrix& expected,
             const std::string& what) {
   if (!actual.approx_equal(expected, 1e-2f)) {
@@ -101,10 +114,16 @@ int main(int argc, char** argv) {
   }
   // MLP-shaped products: batch × features -> batch × neurons.
   // The first three are wide-input layers (MNIST, HAR, Bioresponse widths);
-  // the last three are the products the co-design trainer runs on its
-  // default data: batch 32, 16 features, hidden widths up to 64, 3 classes.
-  std::vector<Shape> mlp_shapes = {{32, 784, 128}, {32, 561, 64}, {32, 1776, 128},
-                                   {32, 16, 64},   {32, 64, 64}, {32, 64, 3}};
+  // the rest are the forward products the co-design trainer runs on its
+  // default data: batch 32, 16 features, hidden widths up to 64, 3 classes,
+  // and the 150-row validation pass into the class layer.
+  std::vector<Shape> mlp_shapes = {{32, 784, 128}, {32, 561, 64}, {32, 1776, 128}, {32, 16, 64},
+                                   {32, 64, 64},   {32, 64, 3},   {150, 64, 3}};
+  // The trainer's backward products, shape m×k×n = C's rows × inner × C's
+  // columns: dW = a_prevᵀ·δ (inner dimension the batch of 32) and δ·Wᵀ
+  // against a prepacked Wᵀ.
+  const std::vector<Shape> dw_shapes = {{64, 32, 64}, {64, 32, 3}};
+  const std::vector<Shape> delta_shapes = {{32, 64, 16}};
 
   std::vector<Row> rows;
   util::ThreadPool pool2(2), pool4(4);
@@ -116,15 +135,7 @@ int main(int argc, char** argv) {
 
     const auto add_row = [&](const std::string& kernel, std::size_t threads, double seconds,
                              double naive_s, double blocked_s) {
-      Row row;
-      row.kernel = kernel;
-      row.shape = s;
-      row.threads = threads;
-      row.seconds = seconds;
-      row.gflops = s.flops() / seconds / 1e9;
-      row.vs_naive = naive_s > 0.0 ? naive_s / seconds : 0.0;
-      row.vs_blocked = blocked_s > 0.0 ? blocked_s / seconds : 0.0;
-      rows.push_back(row);
+      rows.push_back(make_row(kernel, s, threads, seconds, naive_s, blocked_s));
     };
 
     const double naive_s = time_best([&] { linalg::gemm_naive(a, b, c); }, window, 12);
@@ -175,6 +186,24 @@ int main(int argc, char** argv) {
 
   for (const Shape& s : squares) run_shape(s, /*square=*/true);
   for (const Shape& s : mlp_shapes) run_shape(s, /*square=*/false);
+  for (const Shape& s : dw_shapes) {
+    const linalg::Matrix a_prev = make(s.k, s.m, 1), delta = make(s.k, s.n, 2);
+    linalg::Matrix c(s.m, s.n), oracle(s.m, s.n);
+    linalg::gemm_naive(a_prev.transposed(), delta, oracle);
+    const double at_s = time_best([&] { linalg::gemm_at(a_prev, delta, c); }, window);
+    verify(c, oracle, "gemm_at " + s.str());
+    rows.push_back(make_row("at_packed", s, 1, at_s, 0.0, 0.0));
+  }
+  for (const Shape& s : delta_shapes) {
+    const linalg::Matrix delta = make(s.m, s.k, 1), w = make(s.n, s.k, 2);
+    linalg::Matrix c(s.m, s.n), oracle(s.m, s.n);
+    linalg::gemm_naive(delta, w.transposed(), oracle);
+    linalg::PackedB packed_wt;
+    packed_wt.pack(w, /*transpose=*/true);
+    const double bt_s = time_best([&] { linalg::gemm_prepacked(delta, packed_wt, c); }, window);
+    verify(c, oracle, "gemm_prepacked(Wt) " + s.str());
+    rows.push_back(make_row("bt_prepacked", s, 1, bt_s, 0.0, 0.0));
+  }
 
   // ---- human-readable table -------------------------------------------------
   util::TextTable table({"Kernel", "Shape (m=k=n or mxkxn)", "Threads", "GFLOP/s", "vs naive",

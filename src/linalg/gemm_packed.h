@@ -2,14 +2,28 @@
 //
 // The paper's candidate evaluations spend nearly all wall clock inside GEMM
 // ("At the heart of MLP is a general matrix multiplication", §I), so the
-// production kernels here follow the classic Goto/BLIS decomposition:
+// production kernels here follow the classic Goto/BLIS decomposition, sized
+// for the trainer's 32×{3..64}×{3..64} products as well as large squares:
 //   * operand panels are packed into contiguous, cache-tiled buffers
 //     (A in MR-row strips, B in NR-column strips, zero-padded at edges);
-//   * an MR×NR register-accumulator microkernel runs over each KC slice,
-//     written so the compiler vectorizes it (and, on x86-64 GCC, cloned for
-//     AVX2/AVX-512 with runtime dispatch);
+//     a row-major A strip is packed through 4×4 register transposes;
+//   * register tiles of up to MR 8-lane accumulators run over each KC
+//     slice and add into C once; a strip with fewer than NR columns (the
+//     class layer) runs column-oriented, one accumulator per column over
+//     the rows of several A strips. On x86-64 GCC the tiles are also built
+//     for x86-64-v3 (AVX2) and x86-64-v4 (AVX-512), picked by CPU at first
+//     use;
 //   * transposed operands are handled by strided packing, so Aᵀ·B and A·Bᵀ
-//     (backprop's dW and δ products) never materialize a transpose.
+//     (backprop's dW and δ products) never materialize a transpose;
+//   * the drivers pack into per-thread scratch that only grows, so a call
+//     allocates nothing once a thread has seen its largest shape.
+//
+// Every tile computes each element of C the same way: a sum from +0 over
+// the panel's k in order, then one add into C per KC panel. The
+// multiply-add is an FMA instruction in the x86-64-v3/v4 kernels and a
+// multiply then an add everywhere else (the baseline kernel, builds
+// without ISA variants such as TSan and clang), at any optimization level;
+// tests/linalg/gemm_packed_test.cpp checks this bit for bit.
 //
 // Kernel selection: the public gemm_* entry points in gemm.h dispatch on
 // `active_gemm_kernel()`, settable programmatically or via the
@@ -65,12 +79,34 @@ struct MatView {
 };
 
 /// Register tile and cache-block sizes shared by the packers and drivers.
-/// MR×NR accumulators stay in registers; KC sizes one packed strip pair to
-/// fit L1; MC bounds the packed A block (~MC·KC floats) to fit L2.
+/// An MR×NR tile's accumulators stay in registers; KC sizes one packed strip
+/// pair to fit L1; MC bounds the packed A block (~MC·KC floats) to fit L2.
 constexpr std::size_t kMR = 8;
 constexpr std::size_t kNR = 8;
 constexpr std::size_t kKC = 256;
 constexpr std::size_t kMC = 128;
+
+/// Storage for packed operands. It only grows, so repacking into it does
+/// not allocate, and it is never value-initialized: the packers write every
+/// element a kernel reads, padding included, and a vector's resize would
+/// zero-fill it serially first (once a serial phase ahead of
+/// gemm_parallel's sharded packing).
+class PackBuffer {
+ public:
+  /// Grows the buffer to at least `floats` and returns its start.
+  float* reserve(std::size_t floats) {
+    if (floats > capacity_) {
+      data_.reset(new float[floats]);
+      capacity_ = floats;
+    }
+    return data_.get();
+  }
+  const float* data() const { return data_.get(); }
+
+ private:
+  std::unique_ptr<float[]> data_;
+  std::size_t capacity_ = 0;
+};
 
 }  // namespace detail
 
@@ -107,21 +143,13 @@ class PackedB {
 
   /// Start of the packed panel for rows [pc, pc+kc): strips of kNR columns,
   /// each kc×kNR, zero-padded past `cols()`.
-  const float* panel(std::size_t pc) const { return data_.get() + pc * padded_n_; }
+  const float* panel(std::size_t pc) const { return storage_.data() + pc * padded_n_; }
 
  private:
-  /// Grow the buffer to at least `floats` WITHOUT value-initializing it.
-  /// vector::resize would memset the whole packed buffer serially on first
-  /// use (and every growth) even though packing overwrites every element —
-  /// padding included — which showed up as a serial phase ahead of
-  /// gemm_parallel's sharded packing.
-  void ensure_storage(std::size_t floats);
-
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   std::size_t padded_n_ = 0;  // n rounded up to kNR
-  std::unique_ptr<float[]> data_;  // uninitialized storage, capacity_ floats
-  std::size_t capacity_ = 0;
+  detail::PackBuffer storage_;
 };
 
 namespace detail {

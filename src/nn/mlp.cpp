@@ -164,36 +164,41 @@ void Mlp::backward(const linalg::Matrix& input, ForwardCache& cache,
     cache.packed_wt_version = weights_version_;
   }
 
-  linalg::Matrix delta = logit_grad;  // gradient at current layer's pre-activation
+  cache.delta.resize(layers);
+  // Gradient at the current layer's pre-activation.
+  const linalg::Matrix* delta = &logit_grad;
   for (std::size_t l = layers; l-- > 0;) {
     const linalg::Matrix& a_prev = (l == 0) ? input : cache.post[l - 1];
     // dW_l = a_prevᵀ · delta
     if (grad_w[l].rows() != weights_[l].rows() || grad_w[l].cols() != weights_[l].cols()) {
       grad_w[l].reshape_discard(weights_[l].rows(), weights_[l].cols());
     }
-    linalg::gemm_at(a_prev, delta, grad_w[l]);
+    linalg::gemm_at(a_prev, *delta, grad_w[l]);
     // db_l = column sums of delta
     if (spec_.use_bias) {
-      if (grad_b[l].rows() != 1 || grad_b[l].cols() != delta.cols()) {
-        grad_b[l].reshape_discard(1, delta.cols());
+      if (grad_b[l].rows() != 1 || grad_b[l].cols() != delta->cols()) {
+        grad_b[l].reshape_discard(1, delta->cols());
       } else {
         grad_b[l].fill(0.0f);
       }
-      for (std::size_t r = 0; r < delta.rows(); ++r) {
-        linalg::add_inplace(grad_b[l].row(0), delta.row(r));
+      for (std::size_t r = 0; r < delta->rows(); ++r) {
+        linalg::add_inplace(grad_b[l].row(0), delta->row(r));
       }
     }
     if (l == 0) break;
     // delta_prev = (delta · W_lᵀ) ⊙ f'(z_{l-1})
-    linalg::Matrix next_delta(delta.rows(), weights_[l].rows());
+    linalg::Matrix& next_delta = cache.delta[l - 1];
+    if (next_delta.rows() != delta->rows() || next_delta.cols() != weights_[l].rows()) {
+      next_delta.reshape_discard(delta->rows(), weights_[l].rows());
+    }
     if (packed) {
-      linalg::gemm_prepacked(delta, cache.packed_wt[l], next_delta);
+      linalg::gemm_prepacked(*delta, cache.packed_wt[l], next_delta);
     } else {
-      linalg::gemm_bt(delta, weights_[l], next_delta);
+      linalg::gemm_bt(*delta, weights_[l], next_delta);
     }
     apply_activation_gradient(spec_.activation, cache.pre[l - 1], cache.post[l - 1],
                               next_delta);
-    delta = std::move(next_delta);
+    delta = &next_delta;
   }
 }
 

@@ -107,6 +107,9 @@ class Mlp {
     std::vector<linalg::PackedB> packed_wt;
     std::uint64_t packed_w_version = 0;
     std::uint64_t packed_wt_version = 0;
+    // backward()'s gradient at each hidden layer's pre-activation, kept so
+    // that minibatches after the first allocate nothing.
+    std::vector<linalg::Matrix> delta;
   };
   const linalg::Matrix& forward_cached(const linalg::Matrix& input, ForwardCache& cache) const;
 

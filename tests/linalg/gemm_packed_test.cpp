@@ -1,22 +1,27 @@
 // Property tests for the packed register-blocked GEMM backend: the packed
 // driver (all four operand orientations), the prepacked-B path, the parallel
-// driver across 1–8 threads, and kernel selection — all validated against
-// the gemm_naive oracle over odd/ragged shapes.
+// driver across 1–8 threads, and kernel selection — validated against the
+// gemm_naive oracle over odd/ragged shapes, and bit for bit against a
+// k-ordered scalar oracle with the kernel's own rounding (GemmPackedExact),
+// also from several threads at once (GemmPackedConcurrency).
 #include "linalg/gemm_packed.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "linalg/gemm.h"
 #include "util/rng.h"
+#include "util/target_clones.h"
 #include "util/thread_pool.h"
 
 namespace ecad::linalg {
@@ -353,6 +358,163 @@ TEST(GemmPackedLayout, TrainerShapesAreExactAcrossOperandOrientations) {
     EXPECT_TRUE(bit_equal(back, back_explicit)) << where;
     EXPECT_TRUE(bit_equal(back, back_pre)) << where;
     EXPECT_TRUE(back.approx_equal(back_ref, 1e-4f)) << where;
+  }
+}
+
+// The packed kernel's arithmetic, element by element: a sum from +0 over
+// each kKC panel's k in order, one multiply-add per step, then one add into
+// C per panel (C starts at 0 unless accumulating). The multiply-add is fused
+// exactly when the x86-64-v3/v4 clones run; builds without clones (TSan,
+// clang) multiply and then add.
+bool kernel_fuses_multiply_add() {
+#if ECAD_HAS_TARGET_CLONES
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("x86-64-v3") != 0;
+#else
+  return false;
+#endif
+}
+
+Matrix exact_oracle(const Matrix& a, const Matrix& b, const Matrix& seed, bool accumulate) {
+  const bool fused = kernel_fuses_multiply_add();
+  Matrix c(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      float out = accumulate ? seed.at(i, j) : 0.0f;
+      for (std::size_t pc = 0; pc < a.cols(); pc += detail::kKC) {
+        float sum = 0.0f;
+        for (std::size_t p = pc; p < std::min(a.cols(), pc + detail::kKC); ++p) {
+          sum = fused ? std::fma(a.at(i, p), b.at(p, j), sum) : sum + a.at(i, p) * b.at(p, j);
+        }
+        out += sum;
+      }
+      c.at(i, j) = out;
+    }
+  }
+  return c;
+}
+
+/// C = A·B through every packed entry point: the serial driver, both
+/// transposed-operand forms, prepacked B in both orientations, and the
+/// parallel driver. `at` and `bt` are explicit transposes of A and B.
+std::vector<std::pair<std::string, Matrix>> packed_products(const Matrix& a, const Matrix& b,
+                                                            const Matrix& at, const Matrix& bt,
+                                                            const Matrix& seed, bool accumulate,
+                                                            util::ThreadPool& pool) {
+  std::vector<std::pair<std::string, Matrix>> out;
+  const auto run = [&](const std::string& name, const std::function<void(Matrix&)>& product) {
+    Matrix c = seed;
+    product(c);
+    out.emplace_back(name, std::move(c));
+  };
+  run("gemm_blocked", [&](Matrix& c) { gemm_blocked(a, b, c, accumulate); });
+  run("gemm_at", [&](Matrix& c) { gemm_at(at, b, c, accumulate); });
+  run("gemm_bt", [&](Matrix& c) { gemm_bt(a, bt, c, accumulate); });
+  run("gemm_prepacked(B)", [&](Matrix& c) {
+    PackedB packed;
+    packed.pack(b);
+    gemm_prepacked(a, packed, c, accumulate);
+  });
+  run("gemm_prepacked(Bt)", [&](Matrix& c) {
+    PackedB packed;
+    packed.pack(bt, /*transpose=*/true);
+    gemm_prepacked(a, packed, c, accumulate);
+  });
+  run("gemm_parallel", [&](Matrix& c) { gemm_parallel(a, b, c, pool, accumulate); });
+  return out;
+}
+
+/// Uniform values with signed zeros and tiny values mixed in: the product
+/// of two tiny values underflows, so a fused sum can round to -0, which
+/// the first add into C (0 + -0) must turn into +0.
+Matrix random_with_zeros(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Matrix m = random(rows, cols, seed);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if ((i + seed) % 11 == 0) m.raw()[i] = 0.0f;
+    if ((i + seed) % 13 == 0) m.raw()[i] = -0.0f;
+    if ((i + seed) % 3 == 0) m.raw()[i] *= 1e-30f;
+  }
+  return m;
+}
+
+void expect_exact(std::size_t m, std::size_t k, std::size_t n, util::ThreadPool& pool) {
+  const Matrix a = random_with_zeros(m, k, m * 1009 + k * 31 + n);
+  const Matrix b = random_with_zeros(k, n, n * 2003 + k * 17 + m);
+  const Matrix seed = random(m, n, m * 7 + n * 5 + k);
+  const Matrix at = a.transposed(), bt = b.transposed();
+  for (const bool accumulate : {false, true}) {
+    const Matrix expected = exact_oracle(a, b, seed, accumulate);
+    for (const auto& [name, actual] : packed_products(a, b, at, bt, seed, accumulate, pool)) {
+      EXPECT_TRUE(bit_equal(actual, expected))
+          << name << " m=" << m << " k=" << k << " n=" << n << " accumulate=" << accumulate;
+    }
+  }
+}
+
+TEST(GemmPackedExact, EveryEdgeTileMatchesKOrderedOracleBitForBit) {
+  // Rows and columns 8..15 reach every (rows mod 8, cols mod 8) edge pair
+  // next to a full tile; K crosses kKC = 256 into a second panel.
+  KernelGuard guard(GemmKernel::Packed);
+  util::ThreadPool pool(3);
+  for (const std::size_t k : {1u, 3u, 16u, 64u, 256u, 257u, 300u}) {
+    for (std::size_t m = detail::kMR; m < 2 * detail::kMR; ++m) {
+      for (std::size_t n = detail::kNR; n < 2 * detail::kNR; ++n) expect_exact(m, k, n, pool);
+    }
+  }
+}
+
+TEST(GemmPackedExact, LargeAndNarrowShapesMatchKOrderedOracleBitForBit) {
+  // Narrow outputs below one strip, more rows than one kMC block, and an A
+  // too large to be read in place.
+  KernelGuard guard(GemmKernel::Packed);
+  util::ThreadPool pool(3);
+  const std::vector<std::array<std::size_t, 3>> shapes = {
+      {1, 1, 1},     {5, 7, 1},    {32, 64, 3},   {150, 64, 3},  {64, 32, 2},
+      {131, 300, 19}, {200, 100, 10}, {37, 513, 70}, {260, 70, 33}};
+  for (const auto& [m, k, n] : shapes) expect_exact(m, k, n, pool);
+}
+
+TEST(GemmPackedConcurrency, ThreadsWithDifferentShapesMatchSerialResults) {
+  // Each thread multiplies its own shapes through every entry point while
+  // the others do the same: per-thread packing scratch that was shared by
+  // mistake would mix one thread's operands into another's product.
+  KernelGuard guard(GemmKernel::Packed);
+  const std::vector<std::array<std::size_t, 3>> shapes = {
+      {32, 16, 64}, {150, 200, 3}, {64, 24, 64}, {131, 300, 19}};
+  struct Case {
+    Matrix a, b, at, bt, seed;
+    std::vector<std::pair<std::string, Matrix>> serial;
+  };
+  std::vector<Case> cases;
+  util::ThreadPool serial_pool(2);
+  for (const auto& [m, k, n] : shapes) {
+    Case c{random(m, k, m + k), random(k, n, k + n), {}, {}, random(m, n, m + n), {}};
+    c.at = c.a.transposed();
+    c.bt = c.b.transposed();
+    c.serial = packed_products(c.a, c.b, c.at, c.bt, c.seed, true, serial_pool);
+    cases.push_back(std::move(c));
+  }
+  std::vector<int> mismatches(cases.size(), 0);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < cases.size(); ++t) {
+    threads.emplace_back([&, t] {
+      util::ThreadPool pool(2);
+      const Case& c = cases[t];
+      ready.fetch_add(1);
+      while (ready.load() < cases.size()) std::this_thread::yield();
+      for (int round = 0; round < 200; ++round) {
+        const auto results = packed_products(c.a, c.b, c.at, c.bt, c.seed, true, pool);
+        for (std::size_t r = 0; r < results.size(); ++r) {
+          if (!bit_equal(results[r].second, c.serial[r].second)) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < cases.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t << " shape " << shapes[t][0] << "x"
+                                << shapes[t][1] << "x" << shapes[t][2];
   }
 }
 
